@@ -5,6 +5,7 @@
 #include "support/Diagnostics.h"
 #include "sym/ExprBuilder.h"
 #include "solver/SeqTheory.h"
+#include "support/Trace.h"
 
 #include <cassert>
 #include <map>
@@ -125,9 +126,11 @@ bool Congruence::merge(int A, int B) {
     return true;
   auto WA = Witness.find(A);
   auto WB = Witness.find(B);
-  if (WA != Witness.end() && WB != Witness.end()) {
-    const Expr &TA = Nodes[WA->second].Term;
-    const Expr &TB = Nodes[WB->second].Term;
+  int WitA = WA != Witness.end() ? WA->second : -1;
+  int WitB = WB != Witness.end() ? WB->second : -1;
+  if (WitA != -1 && WitB != -1) {
+    const Expr &TA = Nodes[WitA].Term;
+    const Expr &TB = Nodes[WitB].Term;
     int Compat = constructorCompat(TA, TB);
     if (Compat == -1) {
       Conflict = true;
@@ -140,24 +143,19 @@ bool Congruence::merge(int A, int B) {
             {registerTerm(TA->Kids[I]), registerTerm(TB->Kids[I])});
     }
   }
-  if (Nodes[A].Size < Nodes[B].Size)
+  if (Nodes[A].Size < Nodes[B].Size) {
     std::swap(A, B);
+    std::swap(WitA, WitB);
+  }
   Nodes[B].Parent = A;
   Nodes[A].Size += Nodes[B].Size;
-  // Prefer a literal witness; otherwise keep whichever exists.
-  if (WB != Witness.end()) {
-    auto preferable = [this](int WId, int Against) {
-      const Expr &T = Nodes[WId].Term;
-      if (Against == -1)
-        return true;
-      const Expr &O = Nodes[Against].Term;
-      bool TLit = T->Kids.empty();
-      bool OLit = O->Kids.empty();
-      return TLit && !OLit;
-    };
-    int Existing = Witness.count(A) ? Witness[A] : -1;
-    if (preferable(WB->second, Existing))
-      Witness[A] = WB->second;
+  // The root carries the class's witness: prefer a literal, otherwise keep
+  // whichever exists (the root's own on a tie).
+  if (WitB != -1) {
+    Witness.erase(B);
+    if (WitA == -1 ||
+        (Nodes[WitB].Term->Kids.empty() && !Nodes[WitA].Term->Kids.empty()))
+      Witness[A] = WitB;
   }
   return true;
 }
@@ -180,18 +178,18 @@ void Congruence::addDisequality(const Expr &A, const Expr &B) {
 bool Congruence::saturate() {
   if (Conflict)
     return false;
-  const int MaxRounds = 200;
-  for (int Round = 0; Round != MaxRounds; ++Round) {
+  // Closed (nothing queued, no term registered since the fixpoint), or
+  // given up at the round cap.
+  if (Capped || (Pending.empty() && ClosedNodes == Nodes.size()))
+    return true;
+  for (unsigned Round = 0; Round != MaxRounds; ++Round) {
+    ++Rounds;
     // 1. Drain pending merges.
-    bool Merged = false;
     while (!Pending.empty()) {
       auto [A, B] = Pending.back();
       Pending.pop_back();
-      if (find(A) != find(B)) {
-        Merged = true;
-        if (!merge(A, B))
-          return false;
-      }
+      if (find(A) != find(B) && !merge(A, B))
+        return false;
     }
 
     // 2. Congruence pass: identical signatures over representatives merge.
@@ -220,36 +218,43 @@ bool Congruence::saturate() {
         Pending.push_back({It->second, static_cast<int>(I)});
     }
 
-    // 3. Projection pass: evaluate selectors against class witnesses.
-    std::vector<std::pair<Expr, Expr>> NewEqs;
+    // 3. Projection pass: evaluate selectors against class witnesses. Only
+    // equalities that do not already hold are queued, so a round that
+    // derives nothing new leaves Pending empty and ends the closure.
+    std::vector<std::pair<int, Expr>> NewEqs;
+    auto derive = [&](std::size_t I, Expr V) {
+      auto It = TermIds.find(V);
+      if (It == TermIds.end() || find(It->second) != find(static_cast<int>(I)))
+        NewEqs.push_back({static_cast<int>(I), std::move(V)});
+    };
     for (std::size_t I = 0; I != NumNodes; ++I) {
       const Expr &T = Nodes[I].Term;
       switch (T->Kind) {
       case ExprKind::Unwrap: {
         Expr W = witness(T->Kids[0]);
         if (W && W->Kind == ExprKind::Some)
-          NewEqs.push_back({T, W->Kids[0]});
+          derive(I, W->Kids[0]);
         break;
       }
       case ExprKind::IsSome: {
         Expr W = witness(T->Kids[0]);
         if (W && W->Kind == ExprKind::Some)
-          NewEqs.push_back({T, mkTrue()});
+          derive(I, mkTrue());
         else if (W && W->Kind == ExprKind::NoneLit)
-          NewEqs.push_back({T, mkFalse()});
+          derive(I, mkFalse());
         break;
       }
       case ExprKind::TupleGet: {
         Expr W = witness(T->Kids[0]);
         if (W && W->Kind == ExprKind::TupleLit && T->Index < W->Kids.size())
-          NewEqs.push_back({T, W->Kids[T->Index]});
+          derive(I, W->Kids[T->Index]);
         break;
       }
       case ExprKind::SeqLen: {
         Expr W = witness(T->Kids[0]);
         __int128 Len;
         if (W && getStaticSeqLen(W, Len))
-          NewEqs.push_back({T, mkInt(Len)});
+          derive(I, mkInt(Len));
         break;
       }
       case ExprKind::SeqConcat: {
@@ -270,7 +275,7 @@ bool Congruence::saturate() {
           }
         }
         if (Changed)
-          NewEqs.push_back({T, mkSeqConcat(std::move(NewKids))});
+          derive(I, mkSeqConcat(std::move(NewKids)));
         break;
       }
       case ExprKind::SeqNth: {
@@ -279,7 +284,7 @@ bool Congruence::saturate() {
         if (W && getIntLit(T->Kids[1], Idx)) {
           Expr Folded = mkSeqNth(W, T->Kids[1]);
           if (Folded->Kind != ExprKind::SeqNth)
-            NewEqs.push_back({T, Folded});
+            derive(I, std::move(Folded));
         }
         break;
       }
@@ -287,13 +292,21 @@ bool Congruence::saturate() {
         break;
       }
     }
-    for (auto &[A, B] : NewEqs)
-      Pending.push_back({registerTerm(A), registerTerm(B)});
+    // Registered only now: registration may grow Nodes under the loop above.
+    for (auto &[I, V] : NewEqs)
+      Pending.push_back({I, registerTerm(V)});
 
-    if (Pending.empty() && !Merged)
-      break;
+    if (Pending.empty()) {
+      ClosedNodes = Nodes.size();
+      return true;
+    }
   }
-  return !Conflict;
+  // Inputs that never converge (a cyclic concatenation re-flattens into
+  // ever longer terms) stop here for good: every class found so far is
+  // sound, and resuming on each later lookup would only grow the terms.
+  Capped = true;
+  trace::instant("solver", "congruence-capped");
+  return true;
 }
 
 bool Congruence::hasSeqLengthConflict() {
@@ -360,26 +373,13 @@ Expr Congruence::witness(const Expr &E) {
   auto It = TermIds.find(E);
   if (It == TermIds.end())
     return nullptr;
-  int Rep = find(It->second);
-  auto WIt = Witness.find(Rep);
-  // Witness entries may be keyed by stale representatives after merges;
-  // search members lazily if missing.
-  if (WIt != Witness.end())
-    return Nodes[WIt->second].Term;
-  for (std::size_t I = 0, N = Nodes.size(); I != N; ++I) {
-    if (find(static_cast<int>(I)) == Rep &&
-        isConstructorLike(Nodes[I].Term)) {
-      Witness[Rep] = static_cast<int>(I);
-      return Nodes[I].Term;
-    }
-  }
-  return nullptr;
+  auto WIt = Witness.find(find(It->second));
+  return WIt != Witness.end() ? Nodes[WIt->second].Term : nullptr;
 }
 
 int Congruence::canonClass(const Expr &E) {
   int Id = registerTerm(E);
-  if (!Pending.empty())
-    saturate();
+  saturate(); // A lookup once the closure is closed.
   // No separate key space for literal witnesses: an interned literal is a
   // single registered term, so the class holding it is already unique.
   return find(Id);

@@ -39,8 +39,19 @@ public:
   /// Records a disequality to be checked by \c hasDisequalityConflict.
   void addDisequality(const Expr &A, const Expr &B);
 
-  /// Runs closure to fixpoint. Returns false on conflict.
+  /// Runs closure to fixpoint. Returns false on conflict. A closed closure
+  /// (nothing queued, no term registered since its fixpoint) returns at
+  /// once. An input that does not converge within \c MaxRounds rounds emits
+  /// a `solver/congruence-capped` trace instant, and the closure then stays
+  /// as it is: its classes are sound but incomplete, and later calls do not
+  /// resume it.
   bool saturate();
+
+  /// Round cap for inputs that never converge.
+  static constexpr unsigned MaxRounds = 200;
+
+  /// Closure rounds run by this instance so far.
+  unsigned rounds() const { return Rounds; }
 
   /// True if some asserted disequality collapsed into an equality.
   bool hasDisequalityConflict();
@@ -54,12 +65,12 @@ public:
   bool provedEqual(const Expr &A, const Expr &B);
 
   /// Returns the canonical class id of \p E (its union-find representative
-  /// after saturation): a dense per-instance int, deterministic in
-  /// registration order. Terms equal up to congruence share an id. Used by
-  /// the linear-arithmetic backend and the solver's propositional/lifetime
-  /// maps to identify opaque terms up to equality. (Interning already
-  /// dedupes equal literals to one term id, so a literal witness needs no
-  /// separate key space.)
+  /// after saturation, which is a lookup on a closed closure): a dense
+  /// per-instance int, deterministic in registration order. Terms equal up
+  /// to congruence share an id. Used by the linear-arithmetic backend and
+  /// the solver's propositional/lifetime maps to identify opaque terms up to
+  /// equality. (Interning already dedupes equal literals to one term id, so
+  /// a literal witness needs no separate key space.)
   int canonClass(const Expr &E);
 
   /// Returns the constructor/literal witness of the class of \p E if one is
@@ -109,8 +120,13 @@ private:
   std::unordered_map<std::string, uint64_t> LocalNameIds;
   std::vector<std::pair<int, int>> Pending;
   std::vector<std::pair<int, int>> Disequalities;
-  /// Class id -> witness node id (constructor or literal member).
+  /// Class representative -> witness node id (a constructor or literal
+  /// member, literals preferred); present iff the class has such a member.
   std::unordered_map<int, int> Witness;
+  /// Node count at the last fixpoint.
+  std::size_t ClosedNodes = 0;
+  unsigned Rounds = 0;
+  bool Capped = false;
   bool Conflict = false;
 };
 

@@ -9,28 +9,28 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
+#include <string_view>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 using namespace gilr;
 using namespace gilr::flight;
 
 std::atomic<uint8_t> flight::detail::Flags{0xFF};
-thread_local unsigned flight::detail::PauseDepth = 0;
 
 namespace {
 
-/// One buffered journal record: the rendered line plus its deterministic
-/// sort key. \c Seq (global append order) only breaks ties between records
-/// with identical keys, which a deterministic run never produces.
+/// One buffered journal record. It owns no heap memory: long-lived small
+/// allocations interleaved with the solver's own cost a cold verify about
+/// 2% (measured), so names and assertion texts live in shared tables.
 struct Buffered {
-  std::string Obligation;
-  char Side = '?';
-  uint32_t QueryIdx = 0;
-  uint8_t Kind = 0; ///< 0 cached, 1 query — cached records sort first.
-  uint64_t Seq = 0;
-  std::string Line;
+  journal::Record R;          ///< Obligation and Assertions left empty.
+  std::size_t Obligation = 0; ///< Index into RecorderState::Obligations.
+  std::size_t RefsBegin = 0;  ///< R's assertions: RecorderState::Refs
+  std::size_t RefsEnd = 0;    ///< [RefsBegin, RefsEnd), as text ids.
 };
 
 /// Process-wide recorder state. The mutex guards everything below it; the
@@ -38,8 +38,21 @@ struct Buffered {
 struct RecorderState {
   std::mutex Mu;
   std::string JournalFile;
+  /// Records in append order.
   std::vector<Buffered> Buf;
-  uint64_t Seq = 0;
+  std::vector<std::string> Obligations;
+  std::unordered_map<std::string, std::size_t> ObligationIds;
+  std::vector<std::size_t> Refs;
+  /// Each distinct assertion node of the session, rendered once when first
+  /// recorded (while the solver has just walked it): text id -> its span
+  /// of TextArena, and its node.
+  std::string TextArena;
+  std::vector<std::pair<std::size_t, std::size_t>> TextSpans;
+  std::vector<Expr> TextNodes;
+  /// Interned node id -> text id + 1 (0: not seen this session). A flat
+  /// table, 8 bytes per interned node: interned ids are dense. Foreign
+  /// nodes (id 0) get a text per occurrence.
+  std::vector<std::size_t> TextOfNode;
   uint64_t Dropped = 0;
   bool AtExitRegistered = false;
 };
@@ -81,7 +94,10 @@ LastProvenance &lastProv() {
   return P;
 }
 
-void appendRecord(Buffered B) {
+/// Buffers \p R (whose Obligation and Assertions are left empty) as a record
+/// of \p Obligation over \p Assertions.
+void appendRecord(journal::Record R, const std::string &Obligation,
+                  const std::vector<Expr> &Assertions) {
   RecorderState &S = state();
   uint64_t Records = 0, Dropped = 0;
   {
@@ -90,7 +106,28 @@ void appendRecord(Buffered B) {
       ++S.Dropped;
       Dropped = 1;
     } else {
-      B.Seq = S.Seq++;
+      Buffered B;
+      auto [Ob, NewOb] =
+          S.ObligationIds.try_emplace(Obligation, S.Obligations.size());
+      if (NewOb)
+        S.Obligations.push_back(Obligation);
+      B.R = std::move(R);
+      B.Obligation = Ob->second;
+      B.RefsBegin = S.Refs.size();
+      for (const Expr &A : Assertions) {
+        if (A->Id >= S.TextOfNode.size())
+          S.TextOfNode.resize(A->Id + 1);
+        std::size_t &Text = S.TextOfNode[A->Id];
+        if (Text == 0 || A->Id == 0) {
+          std::size_t Begin = S.TextArena.size();
+          S.TextArena += journal::exprToJournal(A);
+          S.TextSpans.push_back({Begin, S.TextArena.size() - Begin});
+          S.TextNodes.push_back(A);
+          Text = S.TextSpans.size();
+        }
+        S.Refs.push_back(Text - 1);
+      }
+      B.RefsEnd = S.Refs.size();
       S.Buf.push_back(std::move(B));
       Records = 1;
     }
@@ -108,7 +145,14 @@ void applyOptions(const Options &O) {
         O.JournalFile.empty() ? std::string()
                               : files::expandPidPlaceholder(O.JournalFile);
     S.Buf.clear();
-    S.Seq = 0;
+    S.Obligations.clear();
+    S.ObligationIds.clear();
+    S.Refs.clear();
+    S.TextArena.clear();
+    S.TextSpans.clear();
+    for (const Expr &E : S.TextNodes)
+      S.TextOfNode[E->Id] = 0;
+    S.TextNodes.clear();
     S.Dropped = 0;
     if (!S.JournalFile.empty() && !S.AtExitRegistered) {
       S.AtExitRegistered = true;
@@ -203,7 +247,6 @@ ChainOutcome QueryJournalSolver::solve(const ChainQuery &Q) {
 
   journal::Record R;
   R.RecKind = journal::Record::Kind::Query;
-  R.Obligation = P.Obligation;
   R.Side = P.Side;
   R.QueryIdx = P.QueryIdx;
   R.PcSize = (uint32_t)Q.Work.size();
@@ -214,15 +257,7 @@ ChainOutcome QueryJournalSolver::solve(const ChainQuery &Q) {
   R.TheoryChecks = O.TheoryChecks;
   R.MaxBranches = Q.MaxBranches;
   Q.stableFingerprint(R.Fp, R.Fp2);
-  R.Assertions = Q.Work;
-
-  Buffered B;
-  B.Obligation = P.Obligation;
-  B.Side = P.Side;
-  B.QueryIdx = P.QueryIdx;
-  B.Kind = 1;
-  B.Line = journal::renderRecord(R);
-  appendRecord(std::move(B));
+  appendRecord(std::move(R), P.Obligation, Q.Work);
   return O;
 }
 
@@ -232,16 +267,9 @@ void flight::noteCachedObligation(const std::string &Name, char Side,
     return;
   journal::Record R;
   R.RecKind = journal::Record::Kind::Cached;
-  R.Obligation = Name;
   R.Side = Side;
   R.CachedOk = Ok;
-
-  Buffered B;
-  B.Obligation = Name;
-  B.Side = Side;
-  B.Kind = 0;
-  B.Line = journal::renderRecord(R);
-  appendRecord(std::move(B));
+  appendRecord(std::move(R), Name, {});
 }
 
 //===----------------------------------------------------------------------===//
@@ -250,26 +278,43 @@ void flight::noteCachedObligation(const std::string &Name, char Side,
 
 std::string flight::journalText() {
   RecorderState &S = state();
-  std::vector<Buffered> Sorted;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    Sorted = S.Buf;
-  }
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const Buffered &A, const Buffered &B) {
-              return std::tie(A.Obligation, A.Side, A.Kind, A.QueryIdx,
-                              A.Seq) < std::tie(B.Obligation, B.Side, B.Kind,
-                                                B.QueryIdx, B.Seq);
-            });
-  std::size_t Bytes = 16;
-  for (const Buffered &B : Sorted)
-    Bytes += B.Line.size() + 1;
-  std::string Out;
-  Out.reserve(Bytes);
-  Out += journal::journalMagic();
+  std::lock_guard<std::mutex> Lock(S.Mu);
+  // Render order: obligation, side, cached markers first, query index. The
+  // sort is stable, so records with equal keys (which a deterministic run
+  // never produces) keep their append order.
+  auto key = [&](const Buffered &B) {
+    return std::make_tuple(std::cref(S.Obligations[B.Obligation]), B.R.Side,
+                           B.R.RecKind != journal::Record::Kind::Cached,
+                           B.R.QueryIdx);
+  };
+  std::stable_sort(S.Buf.begin(), S.Buf.end(),
+                   [&](const Buffered &A, const Buffered &B) {
+                     return key(A) < key(B);
+                   });
+  // Def numbers follow first use in render order, so they are as
+  // deterministic as the records.
+  constexpr uint64_t Undefined = ~uint64_t(0);
+  std::vector<uint64_t> DefOf(S.TextSpans.size(), Undefined);
+  uint64_t NextDef = 0;
+  std::vector<uint64_t> Refs;
+  std::string Out = journal::journalMagic();
   Out += '\n';
-  for (const Buffered &B : Sorted) {
-    Out += B.Line;
+  for (const Buffered &B : S.Buf) {
+    Refs.clear();
+    for (std::size_t I = B.RefsBegin; I != B.RefsEnd; ++I) {
+      std::size_t T = S.Refs[I];
+      if (DefOf[T] == Undefined) {
+        DefOf[T] = NextDef++;
+        auto [Begin, Len] = S.TextSpans[T];
+        journal::renderDef(
+            DefOf[T], std::string_view(S.TextArena).substr(Begin, Len), Out);
+        Out += '\n';
+      }
+      Refs.push_back(DefOf[T]);
+    }
+    journal::Record R = B.R;
+    R.Obligation = S.Obligations[B.Obligation];
+    journal::renderRecord(R, Refs, Out);
     Out += '\n';
   }
   return Out;

@@ -11,10 +11,10 @@
 /// metrics registry: totals, a log2 latency histogram and the slowest-N
 /// queries with provenance.
 ///
-/// \b QueryJournalSolver additionally serialises every query — assertion
-/// set, provenance, verdict, work counters, duration, cache marker — into
-/// an in-memory buffer rendered as a \c GILRJRN1 journal (solver/Journal.h)
-/// and written at exit. Obligations whose verdicts the incremental proof
+/// \b QueryJournalSolver additionally records every query — assertion set,
+/// provenance, verdict, work counters, duration, cache marker — into an
+/// in-memory buffer, rendered as a \c GILRJRN2 journal (solver/Journal.h)
+/// only when the journal is read or written at exit. Obligations whose verdicts the incremental proof
 /// store replays without solving are marked with \c cached records via
 /// \c noteCachedObligation, so the journal accounts for every obligation of
 /// a warm run. The rendered journal is deterministically ordered by
@@ -58,8 +58,10 @@ namespace detail {
 /// enabled-check initialises from the environment).
 extern std::atomic<uint8_t> Flags;
 uint8_t initFromEnvSlow();
-/// Depth of Pause scopes on this thread.
-extern thread_local unsigned PauseDepth;
+/// Depth of Pause scopes on this thread. Defined inline, so every use sees
+/// its constant initializer: an extern thread_local is reached through a
+/// TLS wrapper function that UBSan reports as a null load.
+inline thread_local unsigned PauseDepth = 0;
 
 inline uint8_t flags() {
   uint8_t F = Flags.load(std::memory_order_relaxed);

@@ -5,8 +5,9 @@
 #include "support/Diagnostics.h"
 #include "sym/ExprBuilder.h"
 
-#include <cstdio>
+#include <charconv>
 #include <sstream>
+#include <unordered_map>
 
 using namespace gilr;
 using namespace gilr::journal;
@@ -25,6 +26,18 @@ void quoteName(const std::string &Name, std::string &Out) {
     Out += C;
   }
   Out += '|';
+}
+
+void appendU64(std::string &Out, uint64_t V) {
+  char Buf[20];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+void appendHex16(std::string &Out, uint64_t V) {
+  char Buf[16];
+  for (int I = 15; I >= 0; --I, V >>= 4)
+    Buf[I] = "0123456789abcdef"[V & 15];
+  Out.append(Buf, sizeof(Buf));
 }
 
 void renderExpr(const Expr &E, std::string &Out) {
@@ -138,12 +151,6 @@ void renderExpr(const Expr &E, std::string &Out) {
   GILR_UNREACHABLE("unknown expr kind");
 }
 
-std::string hex16(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)V);
-  return Buf;
-}
-
 const char *verdictName(uint8_t V) {
   switch (V) {
   case 0:
@@ -163,8 +170,8 @@ std::string journal::exprToJournal(const Expr &E) {
   return Out;
 }
 
-std::string journal::renderRecord(const Record &R) {
-  std::string Out;
+void journal::renderRecord(const Record &R, const std::vector<uint64_t> &Refs,
+                           std::string &Out) {
   if (R.RecKind == Record::Kind::Cached) {
     Out += "(cached :ob ";
     quoteName(R.Obligation, Out);
@@ -173,31 +180,45 @@ std::string journal::renderRecord(const Record &R) {
     Out += " :verdict ";
     Out += R.CachedOk ? "ok" : "fail";
     Out += ')';
-    return Out;
+    return;
   }
+  auto Field = [&](const char *Key, uint64_t V) {
+    Out += Key;
+    appendU64(Out, V);
+  };
   Out += "(query :ob ";
   quoteName(R.Obligation, Out);
   Out += " :side ";
   Out += R.Side;
-  Out += " :idx " + std::to_string(R.QueryIdx);
-  Out += " :pc " + std::to_string(R.PcSize);
+  Field(" :idx ", R.QueryIdx);
+  Field(" :pc ", R.PcSize);
   Out += " :cached ";
   Out += R.CacheHit ? 't' : 'f';
   Out += " :verdict ";
   Out += verdictName(R.Verdict);
-  Out += " :ns " + std::to_string(R.DurationNs);
-  Out += " :branches " + std::to_string(R.Branches);
-  Out += " :theory " + std::to_string(R.TheoryChecks);
-  Out += " :budget " + std::to_string(R.MaxBranches);
-  Out += " :fp " + hex16(R.Fp);
-  Out += " :fp2 " + hex16(R.Fp2);
-  for (const Expr &A : R.Assertions) {
-    Out += " (assert ";
-    renderExpr(A, Out);
+  Field(" :ns ", R.DurationNs);
+  Field(" :branches ", R.Branches);
+  Field(" :theory ", R.TheoryChecks);
+  Field(" :budget ", R.MaxBranches);
+  Out += " :fp ";
+  appendHex16(Out, R.Fp);
+  Out += " :fp2 ";
+  appendHex16(Out, R.Fp2);
+  for (uint64_t N : Refs) {
+    Out += " (assert @";
+    appendU64(Out, N);
     Out += ')';
   }
   Out += ')';
-  return Out;
+}
+
+void journal::renderDef(uint64_t N, std::string_view ExprText,
+                        std::string &Out) {
+  Out += "(def ";
+  appendU64(Out, N);
+  Out += ' ';
+  Out += ExprText;
+  Out += ')';
 }
 
 //===----------------------------------------------------------------------===//
@@ -530,7 +551,8 @@ bool parseHexAtom(const SNode &V, uint64_t &Out) {
   return true;
 }
 
-bool parseRecordNode(const SNode &N, Record &R, std::string &Err) {
+bool parseRecordNode(const SNode &N, Record &R, std::string &Err,
+                     const std::unordered_map<uint64_t, Expr> &Defs) {
   if (N.IsAtom || N.Kids.empty() || !N.Kids[0].IsAtom) {
     Err = "record is not a list";
     return false;
@@ -587,19 +609,41 @@ bool parseRecordNode(const SNode &N, Record &R, std::string &Err) {
       return false;
     }
   }
-  // Remaining kids must be (assert E) clauses.
+  // Remaining kids must be (assert @N) clauses.
   for (; I < N.Kids.size(); ++I) {
     const SNode &A = N.Kids[I];
     if (A.IsAtom || A.Kids.size() != 2 || !A.Kids[0].IsAtom ||
-        A.Kids[0].Atom != "assert") {
-      Err = "expected (assert ...) clause";
+        A.Kids[0].Atom != "assert" || !A.Kids[1].IsAtom ||
+        A.Kids[1].Quoted || A.Kids[1].Atom.empty() ||
+        A.Kids[1].Atom[0] != '@') {
+      Err = "expected (assert @N) clause";
       return false;
     }
-    Expr E = exprFromSNode(A.Kids[1], Err);
-    if (!E)
+    SNode Index = A.Kids[1];
+    Index.Atom.erase(0, 1);
+    uint64_t U;
+    auto It = parseU64Atom(Index, U) ? Defs.find(U) : Defs.end();
+    if (It == Defs.end()) {
+      Err = "undefined assertion '" + A.Kids[1].Atom + "'";
       return false;
-    R.Assertions.push_back(std::move(E));
+    }
+    R.Assertions.push_back(It->second);
   }
+  return true;
+}
+
+/// Parses a (def N E) line into \p Defs.
+bool parseDefNode(const SNode &N, std::unordered_map<uint64_t, Expr> &Defs,
+                  std::string &Err) {
+  uint64_t Id;
+  if (N.Kids.size() != 3 || !parseU64Atom(N.Kids[1], Id)) {
+    Err = "malformed (def N E) line";
+    return false;
+  }
+  Expr E = exprFromSNode(N.Kids[2], Err);
+  if (!E)
+    return false;
+  Defs[Id] = std::move(E);
   return true;
 }
 
@@ -631,6 +675,7 @@ ParsedJournal journal::parseJournal(const std::string &Text) {
   std::string Line;
   std::size_t LineNo = 0;
   bool SawHeader = false;
+  std::unordered_map<uint64_t, Expr> Defs;
   while (std::getline(In, Line)) {
     ++LineNo;
     if (!Line.empty() && Line.back() == '\r')
@@ -658,11 +703,15 @@ ParsedJournal journal::parseJournal(const std::string &Text) {
     }
     Record R;
     std::string Err;
-    if (!parseRecordNode(N, R, Err)) {
+    bool IsDef = !N.IsAtom && !N.Kids.empty() && N.Kids[0].IsAtom &&
+                 !N.Kids[0].Quoted && N.Kids[0].Atom == "def";
+    if (IsDef ? !parseDefNode(N, Defs, Err)
+              : !parseRecordNode(N, R, Err, Defs)) {
       Out.Errors.push_back("line " + std::to_string(LineNo) + ": " + Err);
       continue;
     }
-    Out.Records.push_back(std::move(R));
+    if (!IsDef)
+      Out.Records.push_back(std::move(R));
   }
   if (!SawHeader) {
     Out.HeaderError = "empty journal (missing magic line)";

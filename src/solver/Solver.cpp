@@ -447,97 +447,106 @@ SatResult Solver::theoryCheck(const std::vector<Literal> &Lits,
 SatResult Solver::baseTheoryCheck(const std::vector<Literal> &LitsIn) {
   bump(&SolverStats::TheoryChecks);
 
-  // 1. Instantiate the option axioms for IsSome literals.
+  // 1-2. Option axioms for IsSome literals, then sequence facts.
   std::vector<Literal> Lits;
   Lits.reserve(LitsIn.size());
-  for (const auto &[Atom, Positive] : LitsIn) {
-    if (Atom->Kind == ExprKind::IsSome) {
-      Expr EqF = Positive
-                     ? mkEq(Atom->Kids[0], mkSome(mkUnwrap(Atom->Kids[0])))
-                     : mkEq(Atom->Kids[0], mkNone());
-      if (isFalseLit(EqF))
-        return SatResult::Unsat;
-      if (!isTrueLit(EqF))
-        Lits.push_back({EqF, true});
-      continue;
+  {
+    GILR_TRACE_SCOPE("solver", "theory-option-seq");
+    for (const auto &[Atom, Positive] : LitsIn) {
+      if (Atom->Kind == ExprKind::IsSome) {
+        Expr EqF = Positive
+                       ? mkEq(Atom->Kids[0], mkSome(mkUnwrap(Atom->Kids[0])))
+                       : mkEq(Atom->Kids[0], mkNone());
+        if (isFalseLit(EqF))
+          return SatResult::Unsat;
+        if (!isTrueLit(EqF))
+          Lits.push_back({EqF, true});
+        continue;
+      }
+      Lits.push_back({Atom, Positive});
     }
-    Lits.push_back({Atom, Positive});
-  }
 
-  // 2. Sequence theory.
-  SeqFacts Seq = deriveSeqFacts(Lits);
-  if (Seq.Conflict)
-    return SatResult::Unsat;
-  for (const Literal &D : Seq.Derived)
-    Lits.push_back(D);
+    SeqFacts Seq = deriveSeqFacts(Lits);
+    if (Seq.Conflict)
+      return SatResult::Unsat;
+    for (const Literal &D : Seq.Derived)
+      Lits.push_back(D);
+  }
 
   // 3. Congruence closure (batched: one saturation for all equalities).
   Congruence Cong;
-  for (const auto &[Atom, Positive] : Lits) {
-    if (Atom->Kind == ExprKind::Eq) {
-      if (Positive)
-        Cong.queueEquality(Atom->Kids[0], Atom->Kids[1]);
-      else
-        Cong.addDisequality(Atom->Kids[0], Atom->Kids[1]);
-      continue;
+  {
+    GILR_TRACE_SCOPE("solver", "theory-congruence");
+    for (const auto &[Atom, Positive] : Lits) {
+      if (Atom->Kind == ExprKind::Eq) {
+        if (Positive)
+          Cong.queueEquality(Atom->Kids[0], Atom->Kids[1]);
+        else
+          Cong.addDisequality(Atom->Kids[0], Atom->Kids[1]);
+        continue;
+      }
+      Cong.registerTerm(Atom);
     }
-    Cong.registerTerm(Atom);
-  }
-  if (!Cong.saturate())
-    return SatResult::Unsat;
-  if (Cong.hasDisequalityConflict())
-    return SatResult::Unsat;
-  if (Cong.hasSeqLengthConflict())
-    return SatResult::Unsat;
-
-  // 4. Propositional atoms up to congruence, plus lifetime inclusion.
-  std::map<int, bool> PropPolarity;
-  std::set<std::pair<int, int>> LftEdges;
-  std::vector<std::pair<int, int>> LftNegated;
-  for (const auto &[Atom, Positive] : Lits) {
-    if (Atom->Kind == ExprKind::Eq)
-      continue;
-    if (Atom->Kind == ExprKind::LftIncl) {
-      int A = Cong.canonClass(Atom->Kids[0]);
-      int B = Cong.canonClass(Atom->Kids[1]);
-      if (Positive)
-        LftEdges.insert({A, B});
-      else
-        LftNegated.push_back({A, B});
-      continue;
-    }
-    // A boolean witness derived by the closure decides the literal.
-    if (Expr W = Cong.witness(Atom))
-      if (W->Kind == ExprKind::BoolLit && W->BoolVal != Positive)
-        return SatResult::Unsat;
-    int Key = Cong.canonClass(Atom);
-    auto [It, Inserted] = PropPolarity.emplace(Key, Positive);
-    if (!Inserted && It->second != Positive)
+    if (!Cong.saturate())
+      return SatResult::Unsat;
+    if (Cong.hasDisequalityConflict())
+      return SatResult::Unsat;
+    if (Cong.hasSeqLengthConflict())
       return SatResult::Unsat;
   }
-  if (!LftNegated.empty()) {
-    // Reflexive-transitive closure of inclusion edges.
-    std::set<std::pair<int, int>> Closure = LftEdges;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (const auto &[A, B] : Closure)
-        for (const auto &[C, D] : Closure)
-          if (B == C && !Closure.count({A, D})) {
-            Closure.insert({A, D});
-            Changed = true;
-            break;
-          }
-    }
-    for (const auto &[A, B] : LftNegated) {
-      if (A == B)
-        return SatResult::Unsat; // not (k <= k) is false.
-      if (Closure.count({A, B}))
+
+  // 4. Propositional atoms up to congruence, plus lifetime inclusion.
+  {
+    GILR_TRACE_SCOPE("solver", "theory-prop-lifetime");
+    std::map<int, bool> PropPolarity;
+    std::set<std::pair<int, int>> LftEdges;
+    std::vector<std::pair<int, int>> LftNegated;
+    for (const auto &[Atom, Positive] : Lits) {
+      if (Atom->Kind == ExprKind::Eq)
+        continue;
+      if (Atom->Kind == ExprKind::LftIncl) {
+        int A = Cong.canonClass(Atom->Kids[0]);
+        int B = Cong.canonClass(Atom->Kids[1]);
+        if (Positive)
+          LftEdges.insert({A, B});
+        else
+          LftNegated.push_back({A, B});
+        continue;
+      }
+      // A boolean witness derived by the closure decides the literal.
+      if (Expr W = Cong.witness(Atom))
+        if (W->Kind == ExprKind::BoolLit && W->BoolVal != Positive)
+          return SatResult::Unsat;
+      int Key = Cong.canonClass(Atom);
+      auto [It, Inserted] = PropPolarity.emplace(Key, Positive);
+      if (!Inserted && It->second != Positive)
         return SatResult::Unsat;
+    }
+    if (!LftNegated.empty()) {
+      // Reflexive-transitive closure of inclusion edges.
+      std::set<std::pair<int, int>> Closure = LftEdges;
+      bool Changed = true;
+      while (Changed) {
+        Changed = false;
+        for (const auto &[A, B] : Closure)
+          for (const auto &[C, D] : Closure)
+            if (B == C && !Closure.count({A, D})) {
+              Closure.insert({A, D});
+              Changed = true;
+              break;
+            }
+      }
+      for (const auto &[A, B] : LftNegated) {
+        if (A == B)
+          return SatResult::Unsat; // not (k <= k) is false.
+        if (Closure.count({A, B}))
+          return SatResult::Unsat;
+      }
     }
   }
 
   // 5. Linear arithmetic.
+  GILR_TRACE_SCOPE("solver", "theory-linarith");
   LinArith Arith(Cong);
   for (const auto &[Atom, Positive] : Lits)
     Arith.addAtom(Atom, Positive);

@@ -1,7 +1,8 @@
 //===- tests/flight_test.cpp - Proof flight recorder ------------------------===//
 //
 // The flight recorder end to end: the journal expression grammar
-// round-trips, the timing decorator attributes queries to their obligation,
+// round-trips, each distinct assertion is written once and referenced, the
+// timing decorator attributes queries to their obligation,
 // the journal captures cache-served and searched queries alike, a 4-worker
 // hybrid run's journal replays serially with byte-identical verdicts, warm
 // incremental runs journal `cached` markers, env-derived output paths
@@ -162,9 +163,15 @@ TEST(JournalGrammar, RecordsRoundTrip) {
   C.Side = 'S';
   C.CachedOk = true;
 
-  std::string Text = std::string(journal::journalMagic()) + "\n" +
-                     journal::renderRecord(R) + "\n" +
-                     journal::renderRecord(C) + "\n";
+  std::string Text = std::string(journal::journalMagic()) + "\n";
+  for (uint64_t I = 0; I != R.Assertions.size(); ++I) {
+    journal::renderDef(I, journal::exprToJournal(R.Assertions[I]), Text);
+    Text += '\n';
+  }
+  journal::renderRecord(R, {0, 1}, Text);
+  Text += '\n';
+  journal::renderRecord(C, {}, Text);
+  Text += '\n';
   journal::ParsedJournal P = journal::parseJournal(Text);
   EXPECT_TRUE(P.HeaderOk);
   EXPECT_TRUE(P.Errors.empty()) << P.Errors.front();
@@ -192,6 +199,59 @@ TEST(JournalGrammar, RecordsRoundTrip) {
   EXPECT_EQ(P.Records[1].Obligation, "list::pop_front");
   EXPECT_EQ(P.Records[1].Side, 'S');
   EXPECT_TRUE(P.Records[1].CachedOk);
+}
+
+TEST(JournalGrammar, DistinctAssertionsAreDefinedOnceAndReferenced) {
+  FlightOff Off;
+  flight::Options O;
+  O.Journal = true;
+  flight::configure(O);
+  Expr X = mkVar("x", Sort::Int);
+  Expr Shared = mkLt(X, mkInt(5));
+  std::vector<Expr> Q1 = {Shared, mkLt(mkInt(1), X)};
+  std::vector<Expr> Q2 = {Shared, mkLt(mkInt(2), X)};
+  Solver S;
+  {
+    flight::ObligationScope Scope("test::defs", 'U');
+    EXPECT_EQ(S.checkSat(Q1), SatResult::Sat);
+    EXPECT_EQ(S.checkSat(Q2), SatResult::Sat);
+  }
+  std::string Text = flight::journalText();
+  EXPECT_EQ(Text.rfind(journal::journalMagic(), 0), 0u);
+  // Three distinct assertions over two queries: three def lines, and the
+  // shared one is referenced by both records.
+  std::size_t Defs = 0;
+  for (std::size_t P = Text.find("(def "); P != std::string::npos;
+       P = Text.find("(def ", P + 1))
+    ++Defs;
+  EXPECT_EQ(Defs, 3u);
+  EXPECT_EQ(Text.find("(assert (<"), std::string::npos) << Text;
+
+  journal::ParsedJournal P = journal::parseJournal(Text);
+  EXPECT_TRUE(P.Errors.empty()) << P.Errors.front();
+  ASSERT_EQ(P.Records.size(), 2u);
+  ASSERT_EQ(P.Records[0].Assertions.size(), 2u);
+  ASSERT_EQ(P.Records[1].Assertions.size(), 2u);
+  EXPECT_TRUE(exprEquals(P.Records[0].Assertions[0], Shared));
+  EXPECT_TRUE(exprEquals(P.Records[1].Assertions[0], Shared));
+  EXPECT_TRUE(exprEquals(P.Records[1].Assertions[1], Q2[1]));
+}
+
+TEST(JournalGrammar, UndefinedReferencesAreReported) {
+  std::string Query = "(query :ob |o| :side U :idx 0 :pc 1 :cached f "
+                      ":verdict sat :ns 1 :branches 0 :theory 1 "
+                      ":budget 50000 :fp 0 :fp2 0 ";
+  // A reference to a def that never appeared is a per-line error.
+  journal::ParsedJournal Bad = journal::parseJournal(
+      std::string(journal::journalMagic()) + "\n(def 0 true)\n" + Query +
+      "(assert @1))\n" + Query + "(assert @0))\n(def x true)\n");
+  EXPECT_TRUE(Bad.HeaderOk);
+  ASSERT_EQ(Bad.Errors.size(), 2u);
+  EXPECT_NE(Bad.Errors[0].find("undefined assertion '@1'"),
+            std::string::npos);
+  EXPECT_NE(Bad.Errors[1].find("malformed (def N E)"), std::string::npos);
+  ASSERT_EQ(Bad.Records.size(), 1u);
+  EXPECT_TRUE(isTrueLit(Bad.Records[0].Assertions.at(0)));
 }
 
 TEST(JournalGrammar, BadHeaderIsReported) {
