@@ -73,9 +73,9 @@ Server::~Server() {
   Admission.shutdown();
   {
     std::lock_guard<std::mutex> Lock(HandlersMu);
-    for (std::thread &T : Handlers)
-      if (T.joinable())
-        T.join();
+    for (Handler &H : Handlers)
+      if (H.Thread.joinable())
+        H.Thread.join();
     Handlers.clear();
   }
   if (ListenFd >= 0) {
@@ -123,6 +123,7 @@ bool Server::start(std::string &Err) {
 
 void Server::serve() {
   while (!Stop.load(std::memory_order_relaxed)) {
+    reapHandlers();
     pollfd P{};
     P.fd = ListenFd;
     P.events = POLLIN;
@@ -138,7 +139,11 @@ void Server::serve() {
     if (Fd < 0)
       continue;
     std::lock_guard<std::mutex> Lock(HandlersMu);
-    Handlers.emplace_back([this, Fd] { handleConnection(Fd); });
+    Handler &H = Handlers.emplace_back();
+    H.Thread = std::thread([this, Fd, &H] {
+      handleConnection(Fd);
+      H.Done.store(true, std::memory_order_release);
+    });
   }
 
   // Graceful shutdown: no new connections, wake queued requests (they
@@ -148,14 +153,26 @@ void Server::serve() {
   ListenFd = -1;
   {
     std::lock_guard<std::mutex> Lock(HandlersMu);
-    for (std::thread &T : Handlers)
-      if (T.joinable())
-        T.join();
+    for (Handler &H : Handlers)
+      if (H.Thread.joinable())
+        H.Thread.join();
     Handlers.clear();
   }
   if (Backend)
     Backend->flush();
   ::unlink(Cfg.SocketPath.c_str());
+}
+
+void Server::reapHandlers() {
+  std::lock_guard<std::mutex> Lock(HandlersMu);
+  for (auto It = Handlers.begin(); It != Handlers.end();) {
+    if (!It->Done.load(std::memory_order_acquire)) {
+      ++It;
+      continue;
+    }
+    It->Thread.join();
+    It = Handlers.erase(It);
+  }
 }
 
 void Server::stop() {

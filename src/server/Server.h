@@ -19,7 +19,10 @@
 /// (server/Admission.h) — the intern tables and the run-scoped query-cache
 /// installation are process state, so only one run may be active; requests
 /// admitted behind it queue fairly per client. Parallelism *within* a run
-/// is the scheduler's (the request's `jobs` field).
+/// is the scheduler's (the request's `jobs` field). A handler thread ends
+/// when its connection closes, and the accept loop joins finished handlers
+/// on each pass (at least every 200 ms), so the daemon holds threads only
+/// for open connections, however many requests it has served.
 ///
 /// Shutdown is graceful: a `shutdown` request (or \c stop()) stops the
 /// accept loop, wakes queued requests with an error, drains the in-flight
@@ -38,6 +41,7 @@
 
 #include <atomic>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -108,6 +112,8 @@ public:
 
 private:
   void handleConnection(int Fd);
+  /// Joins and drops the handlers whose connection has closed.
+  void reapHandlers();
   /// Dispatches one parsed request, writing events through \p Send.
   /// Returns false when the connection should close (shutdown).
   bool dispatch(const Request &R,
@@ -130,7 +136,13 @@ private:
   int ListenFd = -1;
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Requests{0};
-  std::vector<std::thread> Handlers;
+  /// One connection's handler thread; it sets Done as its last action.
+  struct Handler {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
+  /// A list, so a running thread's Handler never moves.
+  std::list<Handler> Handlers;
   std::mutex HandlersMu;
 };
 

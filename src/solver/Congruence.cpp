@@ -13,19 +13,26 @@
 
 using namespace gilr;
 
+static bool isSeqShape(const Expr &E) {
+  return E->Kind == ExprKind::SeqConcat || E->Kind == ExprKind::SeqUnit ||
+         E->Kind == ExprKind::SeqNil;
+}
+
 int Congruence::registerTerm(const Expr &E) {
   assert(E && "registering null term");
-  auto It = TermIds.find(E);
-  if (It != TermIds.end())
-    return It->second;
+  int Known = TermIds.find(E);
+  if (Known != -1)
+    return Known;
   // Register children first so that ids exist for the signature pass.
   for (const Expr &Kid : E->Kids)
     registerTerm(Kid);
   int Id = static_cast<int>(Nodes.size());
-  Nodes.push_back({E, Id, 1});
-  TermIds.emplace(E, Id);
-  if (isConstructorLike(E))
-    Witness[Id] = Id;
+  Nodes.push_back({E, Id, 1, KidIds.size()});
+  for (const Expr &Kid : E->Kids)
+    KidIds.push_back(TermIds.find(Kid));
+  TermIds.insert(E, Id);
+  Witness.push_back(isConstructorLike(E) ? Id : -1);
+  SeqShape.push_back(isSeqShape(E) ? Id : -1);
   return Id;
 }
 
@@ -124,10 +131,8 @@ bool Congruence::merge(int A, int B) {
   B = find(B);
   if (A == B)
     return true;
-  auto WA = Witness.find(A);
-  auto WB = Witness.find(B);
-  int WitA = WA != Witness.end() ? WA->second : -1;
-  int WitB = WB != Witness.end() ? WB->second : -1;
+  int WitA = Witness[A];
+  int WitB = Witness[B];
   if (WitA != -1 && WitB != -1) {
     const Expr &TA = Nodes[WitA].Term;
     const Expr &TB = Nodes[WitB].Term;
@@ -139,8 +144,7 @@ bool Congruence::merge(int A, int B) {
     if (Compat == 0) {
       assert(TA->Kids.size() == TB->Kids.size() && "decomposition arity");
       for (std::size_t I = 0, E = TA->Kids.size(); I != E; ++I)
-        Pending.push_back(
-            {registerTerm(TA->Kids[I]), registerTerm(TB->Kids[I])});
+        Pending.push_back({kid(WitA, I), kid(WitB, I)});
     }
   }
   if (Nodes[A].Size < Nodes[B].Size) {
@@ -151,12 +155,25 @@ bool Congruence::merge(int A, int B) {
   Nodes[A].Size += Nodes[B].Size;
   // The root carries the class's witness: prefer a literal, otherwise keep
   // whichever exists (the root's own on a tie).
-  if (WitB != -1) {
-    Witness.erase(B);
-    if (WitA == -1 ||
-        (Nodes[WitB].Term->Kids.empty() && !Nodes[WitA].Term->Kids.empty()))
-      Witness[A] = WitB;
-  }
+  if (WitB != -1 &&
+      (WitA == -1 ||
+       (Nodes[WitB].Term->Kids.empty() && !Nodes[WitA].Term->Kids.empty())))
+    Witness[A] = WitB;
+  // ... and its lowest sequence-constructor member.
+  if (SeqShape[B] != -1 && (SeqShape[A] == -1 || SeqShape[B] < SeqShape[A]))
+    SeqShape[A] = SeqShape[B];
+  return true;
+}
+
+bool Congruence::sameSignature(int A, int B) {
+  const ExprNode &TA = *Nodes[A].Term;
+  const ExprNode &TB = *Nodes[B].Term;
+  if (TA.Kind != TB.Kind || TA.Index != TB.Index ||
+      TA.Kids.size() != TB.Kids.size() || nameSymbol(TA) != nameSymbol(TB))
+    return false;
+  for (std::size_t K = 0, E = TA.Kids.size(); K != E; ++K)
+    if (find(kid(A, K)) != find(kid(B, K)))
+      return false;
   return true;
 }
 
@@ -193,29 +210,43 @@ bool Congruence::saturate() {
     }
 
     // 2. Congruence pass: identical signatures over representatives merge.
-    // Signatures are integer vectors (kind, payload, name symbol, kid
-    // representatives) — exact keys, no hashing shortcuts (a collision
-    // would merge unequal terms and be unsound). Names use the global
-    // interned symbol id (sym/Intern.h); symbol *values* are racy across
-    // runs but only ever compared for equality here, so the merge outcome
-    // stays deterministic.
-    std::map<std::vector<uint64_t>, int> Signatures;
+    // A signature is (kind, payload, name symbol, kid representatives),
+    // compared exactly: the hash only picks the slot of an open-addressing
+    // table (a collision would merge unequal terms and be unsound). Each
+    // signature's slot holds its first node, which every later node with
+    // that signature merges into. Names use the global interned symbol id
+    // (sym/Intern.h); symbol *values* are racy across runs but only ever
+    // compared for equality here, so the merge outcome stays deterministic.
     std::size_t NumNodes = Nodes.size();
+    std::size_t Slots = 16;
+    while (Slots < 2 * NumNodes)
+      Slots *= 2;
+    Signatures.assign(Slots, -1);
     for (std::size_t I = 0; I != NumNodes; ++I) {
-      const Expr &T = Nodes[I].Term;
-      if (T->Kids.empty())
+      const ExprNode &T = *Nodes[I].Term;
+      if (T.Kids.empty())
         continue;
-      std::vector<uint64_t> Sig;
-      Sig.reserve(T->Kids.size() + 3);
-      Sig.push_back(static_cast<uint64_t>(T->Kind));
-      Sig.push_back(static_cast<uint64_t>(T->Index));
-      Sig.push_back(nameSymbol(*T));
-      for (const Expr &Kid : T->Kids)
-        Sig.push_back(static_cast<uint64_t>(find(TermIds.at(Kid))));
-      auto [It, Inserted] =
-          Signatures.emplace(std::move(Sig), static_cast<int>(I));
-      if (!Inserted && find(It->second) != find(static_cast<int>(I)))
-        Pending.push_back({It->second, static_cast<int>(I)});
+      int Node = static_cast<int>(I);
+      auto mix = [](uint64_t H, uint64_t V) {
+        return (H ^ V) * 0x9E3779B97F4A7C15ull;
+      };
+      uint64_t H = mix(mix(mix(0, static_cast<uint64_t>(T.Kind)), T.Index),
+                       nameSymbol(T));
+      for (std::size_t K = 0, E = T.Kids.size(); K != E; ++K)
+        H = mix(H, static_cast<uint64_t>(find(kid(Node, K))));
+      for (std::size_t Slot = (H >> 32) & (Slots - 1);;
+           Slot = (Slot + 1) & (Slots - 1)) {
+        int First = Signatures[Slot];
+        if (First == -1) {
+          Signatures[Slot] = Node;
+          break;
+        }
+        if (sameSignature(First, Node)) {
+          if (find(First) != find(Node))
+            Pending.push_back({First, Node});
+          break;
+        }
+      }
     }
 
     // 3. Projection pass: evaluate selectors against class witnesses. Only
@@ -223,8 +254,8 @@ bool Congruence::saturate() {
     // derives nothing new leaves Pending empty and ends the closure.
     std::vector<std::pair<int, Expr>> NewEqs;
     auto derive = [&](std::size_t I, Expr V) {
-      auto It = TermIds.find(V);
-      if (It == TermIds.end() || find(It->second) != find(static_cast<int>(I)))
+      int Known = TermIds.find(V);
+      if (Known == -1 || find(Known) != find(static_cast<int>(I)))
         NewEqs.push_back({static_cast<int>(I), std::move(V)});
     };
     for (std::size_t I = 0; I != NumNodes; ++I) {
@@ -355,26 +386,19 @@ bool Congruence::provedEqual(const Expr &A, const Expr &B) {
 }
 
 Expr Congruence::seqShapeWitness(const Expr &E) {
-  auto It = TermIds.find(E);
-  if (It == TermIds.end())
+  int Id = TermIds.find(E);
+  if (Id == -1)
     return nullptr;
-  int Rep = find(It->second);
-  for (std::size_t I = 0, N = Nodes.size(); I != N; ++I) {
-    ExprKind K = Nodes[I].Term->Kind;
-    if ((K == ExprKind::SeqConcat || K == ExprKind::SeqUnit ||
-         K == ExprKind::SeqNil) &&
-        find(static_cast<int>(I)) == Rep)
-      return Nodes[I].Term;
-  }
-  return nullptr;
+  int Shape = SeqShape[find(Id)];
+  return Shape != -1 ? Nodes[Shape].Term : nullptr;
 }
 
 Expr Congruence::witness(const Expr &E) {
-  auto It = TermIds.find(E);
-  if (It == TermIds.end())
+  int Id = TermIds.find(E);
+  if (Id == -1)
     return nullptr;
-  auto WIt = Witness.find(find(It->second));
-  return WIt != Witness.end() ? Nodes[WIt->second].Term : nullptr;
+  int Wit = Witness[find(Id)];
+  return Wit != -1 ? Nodes[Wit].Term : nullptr;
 }
 
 int Congruence::canonClass(const Expr &E) {
@@ -383,12 +407,4 @@ int Congruence::canonClass(const Expr &E) {
   // No separate key space for literal witnesses: an interned literal is a
   // single registered term, so the class holding it is already unique.
   return find(Id);
-}
-
-std::vector<Expr> Congruence::classReps() {
-  std::vector<Expr> Reps;
-  for (std::size_t I = 0, N = Nodes.size(); I != N; ++I)
-    if (find(static_cast<int>(I)) == static_cast<int>(I))
-      Reps.push_back(Nodes[I].Term);
-  return Reps;
 }

@@ -14,6 +14,7 @@
 #ifndef GILR_SOLVER_CONGRUENCE_H
 #define GILR_SOLVER_CONGRUENCE_H
 
+#include "solver/TermIndex.h"
 #include "sym/Expr.h"
 
 #include <string>
@@ -78,22 +79,36 @@ public:
   /// SeqNil/SeqUnit/static SeqConcat), else nullptr.
   Expr witness(const Expr &E);
 
-  /// Enumerates one representative term per class (for theory export).
-  std::vector<Expr> classReps();
-
-  /// A sequence-constructor member (concat/unit/nil) of E's class, if any;
-  /// used for associativity reasoning over concatenations.
+  /// The sequence-constructor member (concat/unit/nil) of E's class with
+  /// the lowest node id, if any; used for associativity reasoning over
+  /// concatenations. A lookup: each class root keeps it.
   Expr seqShapeWitness(const Expr &E);
+
+  /// The registered terms: node ids are 0 .. numTerms() - 1, in
+  /// registration order.
+  std::size_t numTerms() const { return Nodes.size(); }
+  const Expr &term(int Id) const {
+    return Nodes[static_cast<std::size_t>(Id)].Term;
+  }
 
 private:
   struct Node {
     Expr Term;
     int Parent;
     int Size;
+    /// Index of the first of the term's kid ids in KidIds.
+    std::size_t FirstKid;
   };
 
   int find(int I);
   bool merge(int A, int B);
+  /// Node id of the \p K-th kid of node \p I.
+  int kid(int I, std::size_t K) const {
+    return KidIds[Nodes[static_cast<std::size_t>(I)].FirstKid + K];
+  }
+  /// True if nodes \p A and \p B have the same kind, index, name, arity and
+  /// kid classes: the congruence pass's signature.
+  bool sameSignature(int A, int B);
   /// Symbol id of \p N's Name for the signature pass: 0 for unnamed nodes,
   /// the global interned NameSym when present, else a high-bit-tagged local
   /// id (foreign nodes only) so foreign names can never collide with
@@ -104,25 +119,23 @@ private:
   /// shape), 1 if identical-by-payload, -1 if definitely clashing.
   int constructorCompat(const Expr &A, const Expr &B) const;
 
-  struct ExprPtrHash {
-    std::size_t operator()(const Expr &E) const { return E->hash(); }
-  };
-  struct ExprPtrEq {
-    bool operator()(const Expr &A, const Expr &B) const {
-      return exprEquals(A, B);
-    }
-  };
-
   std::vector<Node> Nodes;
-  std::unordered_map<Expr, int, ExprPtrHash, ExprPtrEq> TermIds;
+  /// The kid ids of every node, node after node.
+  std::vector<int> KidIds;
+  TermIndex TermIds;
   /// Fallback symbol ids for foreign (un-interned) names in the signature
   /// pass; global NameSym ids are used when available.
   std::unordered_map<std::string, uint64_t> LocalNameIds;
   std::vector<std::pair<int, int>> Pending;
   std::vector<std::pair<int, int>> Disequalities;
-  /// Class representative -> witness node id (a constructor or literal
-  /// member, literals preferred); present iff the class has such a member.
-  std::unordered_map<int, int> Witness;
+  /// Per class root: the witness node id (a constructor or literal member,
+  /// literals preferred), or -1 if the class has no such member.
+  std::vector<int> Witness;
+  /// Per class root: the lowest node id of a sequence-constructor member,
+  /// or -1.
+  std::vector<int> SeqShape;
+  /// Open-addressing table of the congruence pass, reused across rounds.
+  std::vector<int> Signatures;
   /// Node count at the last fixpoint.
   std::size_t ClosedNodes = 0;
   unsigned Rounds = 0;

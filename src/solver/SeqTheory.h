@@ -32,7 +32,12 @@ struct SeqFacts {
   bool Conflict = false;        ///< A definite clash was found.
 };
 
-/// Derives sequence facts from the atoms of one solver branch.
+/// Derives sequence facts from the atoms of one solver branch, in rounds
+/// until a round derives nothing new; each round works only on what the
+/// round before it added. Three caps bound the work: 256 transitivity
+/// pairs and 256 decompositions per round, and 8 + |Atoms| rounds. A cap
+/// that stops the derivation emits a `solver/seq-capped` trace instant
+/// naming it; the facts derived up to then are still sound.
 SeqFacts deriveSeqFacts(const std::vector<Literal> &Atoms);
 
 /// Minimum length of \p E provable from its constructors alone.

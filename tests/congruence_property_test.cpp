@@ -2,10 +2,10 @@
 //
 // Parameterized properties of the congruence-closure core: agreement with a
 // brute-force transitive/congruent closure on random equality graphs (with
-// and without projection terms, in both union orders), the structural
-// invariants (equivalence laws, constructor conflicts), and the closure's
-// termination: it stops at its fixpoint, and at MaxRounds when there is
-// none.
+// and without projection terms, in both union orders), seqShapeWitness
+// against a scan of every node, the structural invariants (equivalence
+// laws, constructor conflicts), and the closure's termination: it stops at
+// its fixpoint, and at MaxRounds when there is none.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 
 using namespace gilr;
@@ -211,6 +212,87 @@ TEST_P(CongruenceProps, ProjectionsMatchBruteForceInBothUnionOrders) {
                                 mkUnwrap(O[static_cast<std::size_t>(K)])),
                   UF.find(N + I) == UF.find(N + K))
             << "unwrap(o" << I << ") ~ unwrap(o" << K << ")";
+    }
+  }
+}
+
+/// The reference for seqShapeWitness over every registered term: one scan
+/// of every node, in id order, records the first sequence constructor of
+/// each class.
+std::vector<Expr> scanSeqShapes(Congruence &C) {
+  std::map<int, Expr> FirstShape;
+  std::vector<int> Class;
+  for (int I = 0, N = static_cast<int>(C.numTerms()); I != N; ++I) {
+    const Expr &T = C.term(I);
+    Class.push_back(C.canonClass(T));
+    if (T->Kind == ExprKind::SeqConcat || T->Kind == ExprKind::SeqUnit ||
+        T->Kind == ExprKind::SeqNil)
+      FirstShape.emplace(Class.back(), T);
+  }
+  std::vector<Expr> Shapes;
+  for (int K : Class) {
+    auto It = FirstShape.find(K);
+    Shapes.push_back(It != FirstShape.end() ? It->second : nullptr);
+  }
+  return Shapes;
+}
+
+// Sequence variables equated with each other and with nil, units, conses,
+// concatenations of variables and static sequences, one equality at a
+// time in a seeded order, each seed also with every equality flipped. After
+// every equality, seqShapeWitness of every registered term (including the
+// re-flattened concatenations the closure registers itself) must be the
+// member the scan finds. The variables come in three levels, and a shape
+// equated with a variable mentions only variables of the next level, so no
+// concatenation is cyclic (a cycle such as s = t ++ t, t = s re-flattens
+// into terms that double every round until the round cap).
+TEST_P(CongruenceProps, SeqShapeWitnessMatchesAScanInBothUnionOrders) {
+  const int Levels = 3, PerLevel = 3;
+  std::vector<Expr> A;
+  for (int I = 0; I != 3; ++I)
+    A.push_back(mkVar("sa" + std::to_string(I), Sort::Int));
+  Lcg Rng(static_cast<uint64_t>(GetParam()) + 3000);
+  auto var = [&](int Level) {
+    return mkVar("ss" + std::to_string(Level) + "_" +
+                     std::to_string(Rng.range(0, PerLevel - 1)),
+                 Sort::Seq);
+  };
+  auto elem = [&] { return A[static_cast<std::size_t>(Rng.range(0, 2))]; };
+  // The other side of an equality with a variable of \p Level.
+  auto side = [&](int Level) -> Expr {
+    int Pick = Rng.range(0, Level + 1 < Levels ? 6 : 0);
+    switch (Pick) {
+    case 1:
+      return mkSeqNil();
+    case 2:
+      return mkSeqUnit(elem());
+    case 3:
+      return mkSeqCons(elem(), var(Level + 1));
+    case 4:
+      return mkSeqConcat(var(Level + 1), var(Level + 1));
+    case 5:
+      return mkSeqLit({elem(), elem()});
+    default:
+      return var(Level);
+    }
+  };
+  std::vector<std::pair<Expr, Expr>> Eqs;
+  for (int I = 0, E = Rng.range(2, 8); I != E; ++I) {
+    int Level = Rng.range(0, Levels - 1);
+    Eqs.push_back({var(Level), side(Level)});
+  }
+
+  for (bool Flip : {false, true}) {
+    SCOPED_TRACE(Flip ? "flipped" : "as generated");
+    Congruence C;
+    for (auto &[L, R] : Eqs) {
+      if (!(Flip ? C.addEquality(R, L) : C.addEquality(L, R)))
+        break; // A constructor clash; the classes stop changing.
+      std::vector<Expr> Want = scanSeqShapes(C);
+      for (int I = 0, E = static_cast<int>(Want.size()); I != E; ++I)
+        EXPECT_EQ(C.seqShapeWitness(C.term(I)),
+                  Want[static_cast<std::size_t>(I)])
+            << "term " << I << " of " << E;
     }
   }
 }

@@ -14,7 +14,8 @@
 //  * end to end over a real socket: a second submission of an unchanged
 //    module replays every verdict with zero solver work and renders the
 //    byte-identical `verdicts` array, and a *fresh* daemon pointed at the
-//    same cache directory starts warm too.
+//    same cache directory starts warm too; and the daemon does not keep a
+//    thread per request it has served.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -547,6 +549,65 @@ TEST_F(ServerEndToEnd, ControlRequestsAndParseFailures) {
   std::ostringstream Out3, Err3;
   Opt.Method = "ping";
   EXPECT_EQ(server::runClient(Opt, Out3, Err3), 4);
+}
+
+/// The value of the `Threads:` line of /proc/self/status (running threads),
+/// or 0 if it cannot be read.
+std::size_t runningThreads() {
+  std::ifstream Status("/proc/self/status");
+  std::string Line;
+  while (std::getline(Status, Line))
+    if (Line.rfind("Threads:", 0) == 0)
+      return std::stoul(Line.substr(8));
+  return 0;
+}
+
+/// Lines of /proc/self/maps, or 0 if it cannot be read. A thread that has
+/// exited but was never joined keeps its stack and guard page mapped, two
+/// lines, so this also counts the threads a process holds without running
+/// them.
+std::size_t mappedRegions() {
+  std::ifstream Maps("/proc/self/maps");
+  std::string Line;
+  std::size_t N = 0;
+  while (std::getline(Maps, Line))
+    ++N;
+  return N;
+}
+
+TEST_F(ServerEndToEnd, ServedConnectionsLeaveNoThreadBehind) {
+  if (runningThreads() == 0 || mappedRegions() == 0)
+    GTEST_SKIP() << "needs /proc/self/status and /proc/self/maps";
+  std::string Dir = tempDir("reap");
+  server::ServerConfig Cfg;
+  Cfg.SocketPath = Dir + ".sock";
+  server::Server S(Cfg);
+  ASSERT_FALSE(startServer(S).empty());
+
+  server::ClientOptions Ping;
+  Ping.SocketPath = Cfg.SocketPath;
+  Ping.Method = "ping";
+  auto ping = [&Ping] {
+    std::ostringstream Out, Err;
+    EXPECT_EQ(server::runClient(Ping, Out, Err), 0) << Err.str();
+  };
+  // Warm up first, so that allocator arenas and the like already exist.
+  for (int I = 0; I != 10; ++I)
+    ping();
+  std::size_t Threads = runningThreads(), Regions = mappedRegions();
+
+  // 200 sequential requests, each on its own connection, as `gilr client`
+  // makes them. Kept handler threads would add about 400 regions.
+  std::size_t MostThreads = Threads;
+  for (int I = 0; I != 200; ++I) {
+    ping();
+    MostThreads = std::max(MostThreads, runningThreads());
+  }
+  EXPECT_LE(MostThreads, Threads + 4);
+  EXPECT_LE(mappedRegions(), Regions + 50);
+
+  S.stop();
+  Serving.join();
 }
 
 } // namespace

@@ -5,12 +5,15 @@
 /// socket for gilr-server-v1 requests (`gilr client ...`), keeping the
 /// interned expression tables, solver query cache and shared
 /// content-addressed proof cache warm across submissions. See
-/// docs/SERVER.md for the protocol and cache layout.
+/// docs/SERVER.md for the protocol and cache layout. Honours GILR_TRACE /
+/// GILR_TRACE_FILE / GILR_STATS_FILE (docs/TELEMETRY.md); the outputs are
+/// written when the daemon exits.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "server/Client.h"
 #include "server/Server.h"
+#include "support/Trace.h"
 
 #include <atomic>
 #include <csignal>
@@ -60,6 +63,7 @@ bool parseU64(const std::string &S, uint64_t &Out) {
 } // namespace
 
 int main(int argc, char **argv) {
+  trace::configureFromEnv();
   std::vector<std::string> Args(argv + 1, argv + argc);
   server::ServerConfig Cfg;
   Cfg.SocketPath = server::defaultSocketPath();
