@@ -203,7 +203,9 @@ int main(int argc, char **argv) {
     SuiteResult Suite = runSuite(
         "linkedlist-type-safety", Funcs.size(), [&](sched::Scheduler &S) {
           engine::VerifEnv Env = Lib->env();
-          for (const engine::VerifyReport &R : S.verifyAll(Env, Funcs))
+          hybrid::HybridReport Rep =
+              S.runHybrid(Env, creusot::PearliteSpecTable(), Funcs, {});
+          for (const engine::VerifyReport &R : Rep.UnsafeSide)
             if (!R.Ok)
               return false;
           return true;
@@ -219,7 +221,9 @@ int main(int argc, char **argv) {
     SuiteResult Suite = runSuite(
         "vec-raw-buffer", Funcs.size(), [&](sched::Scheduler &S) {
           engine::VerifEnv Env = Lib->env();
-          for (const engine::VerifyReport &R : S.verifyAll(Env, Funcs))
+          hybrid::HybridReport Rep =
+              S.runHybrid(Env, creusot::PearliteSpecTable(), Funcs, {});
+          for (const engine::VerifyReport &R : Rep.UnsafeSide)
             if (!R.Ok)
               return false;
           return true;

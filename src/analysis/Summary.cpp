@@ -541,11 +541,9 @@ void scanPredClause(const gilsonite::AssertionP &A,
   }
 }
 
-} // namespace
-
-void gilr::analysis::summarizePredScc(const gilsonite::PredTable &Preds,
-                                      const CallGraph &G, const Scc &S,
-                                      SummaryTable &T) {
+/// Predicate counterpart of \c summarizeFnScc.
+void summarizePredScc(const gilsonite::PredTable &Preds, const CallGraph &G,
+                      const Scc &S, SummaryTable &T) {
   // Seed: tops for abstract/undeclared members, bottoms otherwise, so
   // in-SCC references resolve to the current iterate.
   for (const std::string &Name : S.Members) {
@@ -595,10 +593,13 @@ void gilr::analysis::summarizePredScc(const gilsonite::PredTable &Preds,
   }
 }
 
-void gilr::analysis::summarizeFnScc(const rmir::Program &Prog,
-                                    const gilsonite::SpecTable &Specs,
-                                    const CallGraph &G, const Scc &S,
-                                    SummaryTable &T) {
+/// Computes the summaries of every member of \p S (a call-graph SCC) into
+/// \p T, reading callee summaries of earlier SCCs from \p T. Iterates to a
+/// fixpoint when the SCC is recursive. Bottom-up order is the caller's
+/// responsibility (walk \c condenseSccs output left to right).
+void summarizeFnScc(const rmir::Program &Prog,
+                    const gilsonite::SpecTable &Specs, const CallGraph &G,
+                    const Scc &S, SummaryTable &T) {
   bool AnyChanged = true;
   // Effect bits are monotone per the seed policy in calleeSummary, so each
   // flips at most once; the cap is a safety net, not a budget.
@@ -616,6 +617,8 @@ void gilr::analysis::summarizeFnScc(const rmir::Program &Prog,
       break;
   }
 }
+
+} // namespace
 
 SummaryTable
 gilr::analysis::computeSummaries(const rmir::Program &Prog,

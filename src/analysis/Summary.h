@@ -17,11 +17,11 @@
 ///    not contain collapses the affected facts to conservative top.
 ///
 /// Consumers: the scheduler's triage tier (trivially-safe obligations skip
-/// symbolic execution, analysis/Interproc.h), the summary-powered lints
-/// (W008 de-opaquing, W009, W010), and the incremental cache, which stores
-/// summaries under Side::Summary keyed by the reachable-closure dependency
-/// sets recorded here (DepFns/DepPreds) — editing a function invalidates
-/// exactly the summaries that can reach it.
+/// symbolic execution, analysis/Interproc.h) and the summary-powered lints
+/// (W008 de-opaquing, W009, W010). Summaries are recomputed every run and
+/// never persisted. Each records its reachable closure (DepFns/DepPreds),
+/// which the W008 and W009 lints note as dependencies, so a cached lint
+/// verdict invalidates when anything the summary saw is edited.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -143,21 +143,10 @@ struct SummaryTable {
   }
 };
 
-/// Computes the summaries of every member of \p S (a call-graph SCC) into
-/// \p T, reading callee summaries of earlier SCCs from \p T. Iterates to a
-/// fixpoint when the SCC is recursive. Bottom-up order is the caller's
-/// responsibility (walk \c condenseSccs output left to right).
-void summarizeFnScc(const rmir::Program &Prog,
-                    const gilsonite::SpecTable &Specs, const CallGraph &G,
-                    const Scc &S, SummaryTable &T);
-
-/// Predicate counterpart of \c summarizeFnScc.
-void summarizePredScc(const gilsonite::PredTable &Preds, const CallGraph &G,
-                      const Scc &S, SummaryTable &T);
-
-/// Whole-program convenience: builds the call graph, condenses, and runs
-/// both bottom-up fixpoints. The serial drivers and tests use this; the
-/// scheduler interleaves the per-SCC functions with the incremental cache.
+/// Builds the call graph, condenses it, and runs both bottom-up fixpoints
+/// (predicates first, then functions). Every run calls this: recomputing
+/// the table costs less than fetching and validating stored summaries
+/// (docs/ANALYSIS.md).
 SummaryTable computeSummaries(const rmir::Program &Prog,
                               const gilsonite::PredTable &Preds,
                               const gilsonite::SpecTable &Specs);

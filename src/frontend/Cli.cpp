@@ -275,11 +275,7 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
                  ", \"shared_hits\": " + std::to_string(Stats.SharedHits) +
                  ", \"shared_puts\": " + std::to_string(Stats.SharedPuts) +
                  ", \"compactions\": " + std::to_string(Stats.Compactions) +
-                 "}, \"interproc\": {\"summaries_computed\": " +
-                 std::to_string(Stats.SummariesComputed) +
-                 ", \"summaries_reused\": " +
-                 std::to_string(Stats.SummariesReused) +
-                 ", \"triaged_static\": " +
+                 "}, \"interproc\": {\"triaged_static\": " +
                  std::to_string(Stats.TriagedStatic) + "}";
     R.Json = jsonHead(Opt, Path) + ", \"exit\": " + std::to_string(R.Exit) +
              ", \"errors\": " + ErrJson + IncrJson +
@@ -296,9 +292,7 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
           << Stats.Implied << " implied, " << Stats.SharedHits
           << " shared hits, " << Stats.SharedPuts << " shared puts, "
           << Stats.Compactions << " compactions\n";
-      Out << "interproc: " << Stats.SummariesComputed
-          << " summaries computed, " << Stats.SummariesReused << " reused, "
-          << Stats.TriagedStatic << " triaged static\n";
+      Out << "interproc: " << Stats.TriagedStatic << " triaged static\n";
     }
   }
   return R;

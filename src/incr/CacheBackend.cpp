@@ -89,61 +89,6 @@ CacheKey gilr::incr::obligationCacheKey(Side S, const std::string &Name,
 }
 
 //===----------------------------------------------------------------------===//
-// LocalStoreBackend
-//===----------------------------------------------------------------------===//
-
-LocalStoreBackend::LocalStoreBackend(std::string Path)
-    : Store(std::move(Path)) {
-  Store.load(/*AllowCompaction=*/false);
-  for (const StoredObligation *Ob : Store.records())
-    KeyIndex.emplace(
-        obligationCacheKey(Ob->S, Ob->Name, Ob->SelfFp, Ob->ConfigFp),
-        std::make_pair(Ob->S, Ob->Name));
-}
-
-bool LocalStoreBackend::get(const CacheKey &K, std::string &Blob) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ++St.Gets;
-  auto It = KeyIndex.find(K);
-  if (It == KeyIndex.end())
-    return false;
-  const StoredObligation *Ob = Store.lookup(It->second.first, It->second.second);
-  if (!Ob ||
-      !(obligationCacheKey(Ob->S, Ob->Name, Ob->SelfFp, Ob->ConfigFp) == K))
-    return false; // Superseded by a put under a newer fingerprint.
-  Blob = encodeObligationRecord(*Ob);
-  ++St.Hits;
-  return true;
-}
-
-bool LocalStoreBackend::put(const CacheKey &K, const std::string &Blob) {
-  StoredObligation Ob;
-  if (!decodeObligationRecord(Blob, Ob) ||
-      !(obligationCacheKey(Ob.S, Ob.Name, Ob.SelfFp, Ob.ConfigFp) == K)) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++St.PutsSkipped; // Malformed or mislabeled blob: never store it.
-    return true;
-  }
-  std::lock_guard<std::mutex> Lock(Mu);
-  KeyIndex.emplace(K, std::make_pair(Ob.S, Ob.Name));
-  Store.put(std::move(Ob));
-  ++St.Puts;
-  return true;
-}
-
-bool LocalStoreBackend::flush() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Store.flush();
-}
-
-CacheBackendStats LocalStoreBackend::stats() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  CacheBackendStats S = St;
-  S.Entries = Store.size();
-  return S;
-}
-
-//===----------------------------------------------------------------------===//
 // SharedDirBackend
 //===----------------------------------------------------------------------===//
 
@@ -218,17 +163,15 @@ bool SharedDirBackend::put(const CacheKey &K, const std::string &Blob) {
     ++St.PutsSkipped;
     return true;
   }
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (Cfg.MemCacheEntries && Mem.size() < Cfg.MemCacheEntries)
-      Mem.emplace(K, Blob);
-  }
+  // The key leaves out the dependency fingerprints, so a put for a stored
+  // key may carry a newer record (re-proved or salvaged after a dependency
+  // edit), which replaces the stored one. Only a put of the stored bytes is
+  // skipped.
   std::string Path = recordPath(K);
-  std::error_code EC;
-  if (fs::exists(Path, EC)) {
-    // Content-addressed: an existing record for this key holds a verdict
-    // for identical inputs. First writer wins, later puts are free.
+  std::string Stored;
+  if (readRecordFile(Path, K, Stored) && Stored == Blob) {
     std::lock_guard<std::mutex> Lock(Mu);
+    remember(K, Blob);
     ++St.PutsSkipped;
     return true;
   }
@@ -250,14 +193,26 @@ bool SharedDirBackend::put(const CacheKey &K, const std::string &Blob) {
                     std::to_string(TmpCounter.fetch_add(1));
   if (!files::writeFile(Tmp, Out, "shared proof-cache record"))
     return false;
+  // rename() replaces an existing record atomically: a concurrent reader
+  // sees the old record or the new one, never a mix.
+  std::error_code EC;
   fs::rename(Tmp, Path, EC);
   if (EC) {
     fs::remove(Tmp, EC);
     return false;
   }
   std::lock_guard<std::mutex> Lock(Mu);
+  remember(K, Blob);
   ++St.Puts;
   return true;
+}
+
+void SharedDirBackend::remember(const CacheKey &K, const std::string &Blob) {
+  auto It = Mem.find(K);
+  if (It != Mem.end())
+    It->second = Blob;
+  else if (Cfg.MemCacheEntries && Mem.size() < Cfg.MemCacheEntries)
+    Mem.emplace(K, Blob);
 }
 
 void SharedDirBackend::pin(const CacheKey &K) {

@@ -6,24 +6,22 @@
 /// fingerprints the verdict was produced under — (side, name, self
 /// fingerprint, configuration fingerprint) hashed into a 128-bit CacheKey.
 /// Because the current fingerprints are part of the key, a get against the
-/// current tables can only return a record produced for byte-identical
-/// inputs; dependency validation (Session::checkDeps) still runs on top, so
-/// a hit is never trusted blindly.
+/// current tables can only return a record produced for the same entity
+/// under the same configuration; dependency validation (Session::checkDeps)
+/// still runs on top, so a hit is never trusted blindly. The dependency
+/// fingerprints are not part of the key: after a dependency edit the same
+/// key receives a record with new bytes, and a put replaces the stored one.
 ///
-/// Two implementations:
-///
-///  * LocalStoreBackend — adapts the per-checkout GILRPRF1 append log
-///    (incr/ProofStore.h) to the backend interface, for tools that want the
-///    backend API over the classic single-file store.
-///  * SharedDirBackend — a filesystem directory shared by several daemons
-///    or CI jobs: one file per record under objects/<hh>/<hex>.rec, written
-///    atomically (tmp + rename, safe against concurrent writers), read
-///    mtimes refreshed on hits so the size-budgeted GC evicts in LRU order.
-///    Keys pinned during a run are never evicted by that run's GC.
+/// The implementation, SharedDirBackend, is a filesystem directory shared
+/// by several daemons or CI jobs: one file per record under
+/// objects/<hh>/<hex>.rec, written atomically (tmp + rename, safe against
+/// concurrent writers), read mtimes refreshed on hits so the size-budgeted
+/// GC evicts in LRU order. Keys pinned during a run are never evicted by
+/// that run's GC.
 ///
 /// Blobs are ProofStore obligation records
-/// (encodeObligationRecord/decodeObligationRecord), so the two levels of
-/// the cache hierarchy share one codec and one format version.
+/// (encodeObligationRecord/decodeObligationRecord), so the local store and
+/// the shared cache share one codec and one format version.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +65,7 @@ struct CacheBackendStats {
   uint64_t Gets = 0;
   uint64_t Hits = 0;
   uint64_t Puts = 0;
-  /// Puts skipped because the record already existed (first-writer-wins)
+  /// Puts skipped because the stored record already holds the same bytes
   /// or the backend is read-only.
   uint64_t PutsSkipped = 0;
   uint64_t Evictions = 0;
@@ -85,7 +83,7 @@ class CacheBackend {
 public:
   virtual ~CacheBackend() = default;
 
-  /// A short stable name for telemetry ("local-store", "shared-dir").
+  /// A short stable name for telemetry ("shared-dir").
   virtual const char *kind() const = 0;
 
   /// Fills \p Blob with the record stored under \p K. A miss (false) is
@@ -93,8 +91,9 @@ public:
   /// misses.
   virtual bool get(const CacheKey &K, std::string &Blob) = 0;
 
-  /// Stores \p Blob under \p K. Returns false only on I/O failure; a
-  /// skipped write (record already present, read-only backend) succeeds.
+  /// Stores \p Blob under \p K, replacing a record with different bytes.
+  /// Returns false only on I/O failure; a skipped write (same bytes already
+  /// stored, read-only backend) succeeds.
   virtual bool put(const CacheKey &K, const std::string &Blob) = 0;
 
   /// Marks \p K as referenced by the current run: the backend's GC must
@@ -106,31 +105,6 @@ public:
   virtual bool flush() { return true; }
 
   virtual CacheBackendStats stats() const = 0;
-};
-
-/// The classic single-file GILRPRF1 append log behind the backend API. The
-/// store keeps one record per (side, name); a put whose key does not match
-/// the stored fingerprints replaces that record, exactly like
-/// ProofStore::put. Gets only hit when the requested key matches the
-/// record's recomputed key — i.e. the store's verdict is for the same
-/// fingerprints the caller is asking about.
-class LocalStoreBackend final : public CacheBackend {
-public:
-  /// Loads the store at \p Path (missing file = empty cache).
-  explicit LocalStoreBackend(std::string Path);
-
-  const char *kind() const override { return "local-store"; }
-  bool get(const CacheKey &K, std::string &Blob) override;
-  bool put(const CacheKey &K, const std::string &Blob) override;
-  bool flush() override;
-  CacheBackendStats stats() const override;
-
-private:
-  mutable std::mutex Mu;
-  ProofStore Store;
-  /// key -> (side, name) so gets can find the store record for a key.
-  std::map<CacheKey, std::pair<Side, std::string>> KeyIndex;
-  CacheBackendStats St;
 };
 
 /// Configuration of a SharedDirBackend.
@@ -157,9 +131,10 @@ struct SharedDirConfig {
 /// misplaced files) and an FNV-1a checksum over the payload; any mismatch
 /// reads as a miss. Writes go to a unique temp file in the same directory
 /// and rename into place, so concurrent writers and readers never observe
-/// torn records. GC walks objects/, and while the payload total exceeds
-/// the budget evicts unpinned records oldest-mtime-first (gets refresh the
-/// mtime, making this LRU); it also removes temp files older than an hour
+/// torn records; a put whose bytes equal the stored record writes nothing.
+/// GC walks objects/, and while the payload total exceeds the budget
+/// evicts unpinned records oldest-mtime-first (gets refresh the mtime,
+/// making this LRU); it also removes temp files older than an hour
 /// (crashed writers). GC is idempotent: a second run with no intervening
 /// traffic evicts nothing.
 class SharedDirBackend final : public CacheBackend {
@@ -185,6 +160,9 @@ public:
 private:
   bool readRecordFile(const std::string &Path, const CacheKey &K,
                       std::string &Blob) const;
+  /// Puts \p Blob in the memory cache under \p K: replaces a held entry,
+  /// adds a new one while there is room. Mu held.
+  void remember(const CacheKey &K, const std::string &Blob);
 
   SharedDirConfig Cfg;
   mutable std::mutex Mu;

@@ -29,12 +29,9 @@ namespace incr {
 /// Which side of the hybrid pipeline an obligation belongs to. Values are
 /// part of the on-disk proof-store format: append only, never renumber.
 enum class Side : uint8_t {
-  Unsafe = 0,  ///< Gillian-Rust side (engine::Verifier).
-  Safe = 1,    ///< Creusot side (creusot::SafeVerifier).
-  Lint = 2,    ///< Pre-verification analysis verdict (analysis::lintEntity).
-  Summary = 3, ///< Interprocedural summary (analysis::Summary.h). Function
-               ///< summaries are keyed by the function name, predicate
-               ///< summaries by "pred:<name>".
+  Unsafe = 0, ///< Gillian-Rust side (engine::Verifier).
+  Safe = 1,   ///< Creusot side (creusot::SafeVerifier).
+  Lint = 2,   ///< Pre-verification analysis verdict (analysis::lintEntity).
 };
 
 /// One dependable entity, identified by namespace + name.

@@ -422,13 +422,3 @@ uint64_t gilr::incr::fpAnalysisConfig(const analysis::AnalysisConfig &C,
   HS.u32(MaxBranches);
   return HS.result();
 }
-
-uint64_t gilr::incr::fpSummaryConfig() {
-  Hasher HS;
-  // Version salt of the summary computation (analysis/Summary.cpp). Bump
-  // when the algorithm's meaning changes so every cached Side::Summary
-  // record invalidates at once.
-  HS.str("gilr-interproc-summary");
-  HS.u32(1);
-  return HS.result();
-}

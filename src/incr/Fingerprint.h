@@ -91,13 +91,6 @@ uint64_t fpAutomation(const engine::Automation &A, unsigned MaxBranches);
 uint64_t fpAnalysisConfig(const analysis::AnalysisConfig &C,
                           unsigned MaxBranches);
 
-/// Fingerprint ("config") of the interprocedural summary algorithm itself.
-/// Summaries are a pure function of the program tables — no knob can change
-/// one — so this is a version salt: bump the constant inside whenever the
-/// summary computation changes meaning, and every cached Side::Summary
-/// record invalidates at once.
-uint64_t fpSummaryConfig();
-
 } // namespace incr
 } // namespace gilr
 

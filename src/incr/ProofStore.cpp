@@ -13,19 +13,10 @@ using namespace gilr::incr;
 namespace {
 
 constexpr char Magic[8] = {'G', 'I', 'L', 'R', 'P', 'R', 'F', '1'};
-// Version 2 added Side::Lint obligation records (pre-verification analysis
-// verdicts). Version 3 added source locations (File/Line/Col) to persisted
-// diagnostics. Version 4 added clause-level dependency signatures (skeleton
-// fingerprint + per-clause fingerprints, pure clauses persisted as journal
-// text) for semantic salvage. Version 5 added Side::Summary obligation
-// records (interprocedural summaries, analysis/Summary.h) and a trailing
-// Static byte on VerifyReport blobs (decoded tolerantly, so v4/v3 blobs
-// still replay). v3/v4 stores still load — their deps simply carry no
-// signature (v3) and they contain no summary records — and are upgraded by
-// the load-time compaction rewrite. Older stores are rejected by load(),
-// i.e. a cold run.
-constexpr uint32_t FormatVersion = 5;
-constexpr uint32_t MinFormatVersion = 3;
+// Version 6 dropped the interprocedural summary records of version 5:
+// summaries are recomputed every run. load() accepts this version only, so
+// an older store is a cold run that the first writable flush replaces.
+constexpr uint32_t FormatVersion = 6;
 constexpr uint8_t RecObligation = 1;
 constexpr uint8_t RecSolverBlock = 2;
 
@@ -112,7 +103,9 @@ private:
   const char *End;
 };
 
-std::string encodeObligation(const StoredObligation &Ob) {
+} // namespace
+
+std::string gilr::incr::encodeObligationRecord(const StoredObligation &Ob) {
   Writer W;
   W.u8(static_cast<uint8_t>(Ob.S));
   W.str(Ob.Name);
@@ -123,8 +116,8 @@ std::string encodeObligation(const StoredObligation &Ob) {
     W.u8(static_cast<uint8_t>(D.K));
     W.str(D.Name);
     W.u64(D.Fp);
-    // v4: the clause-level signature (incr/SpecDiff.h). Live formulas are
-    // not persisted — pure clauses round-trip through their journal text.
+    // The clause-level signature (incr/SpecDiff.h). Live formulas are not
+    // persisted — pure clauses round-trip through their journal text.
     W.u8(D.HasSig ? 1 : 0);
     if (D.HasSig) {
       W.u64(D.Sig.SkeletonFp);
@@ -141,12 +134,12 @@ std::string encodeObligation(const StoredObligation &Ob) {
   return std::move(W.Out);
 }
 
-bool decodeObligation(const std::string &Payload, StoredObligation &Ob,
-                      uint32_t Version) {
+bool gilr::incr::decodeObligationRecord(const std::string &Payload,
+                                        StoredObligation &Ob) {
   Reader R(Payload);
   uint8_t S;
   uint32_t NDeps;
-  if (!R.u8(S) || S > static_cast<uint8_t>(Side::Summary) || !R.str(Ob.Name) ||
+  if (!R.u8(S) || S > static_cast<uint8_t>(Side::Lint) || !R.str(Ob.Name) ||
       !R.u64(Ob.SelfFp) || !R.u64(Ob.ConfigFp) || !R.u32(NDeps))
     return false;
   Ob.S = static_cast<Side>(S);
@@ -159,33 +152,33 @@ bool decodeObligation(const std::string &Payload, StoredObligation &Ob,
         !R.str(D.Name) || !R.u64(D.Fp))
       return false;
     D.K = static_cast<deps::Kind>(K);
-    if (Version >= 4) {
-      uint8_t HasSig;
-      if (!R.u8(HasSig) || HasSig > 1)
+    uint8_t HasSig;
+    if (!R.u8(HasSig) || HasSig > 1)
+      return false;
+    D.HasSig = HasSig != 0;
+    if (D.HasSig) {
+      uint32_t NClauses;
+      if (!R.u64(D.Sig.SkeletonFp) || !R.u32(NClauses))
         return false;
-      D.HasSig = HasSig != 0;
-      if (D.HasSig) {
-        uint32_t NClauses;
-        if (!R.u64(D.Sig.SkeletonFp) || !R.u32(NClauses))
+      D.Sig.Clauses.reserve(NClauses);
+      for (uint32_t J = 0; J != NClauses; ++J) {
+        ClauseSig C;
+        uint8_t Role, Pure;
+        if (!R.u8(Role) ||
+            Role > static_cast<uint8_t>(ClauseRole::ContractPost) ||
+            !R.u8(Pure) || Pure > 1 || !R.u64(C.Fp) || !R.str(C.Text))
           return false;
-        D.Sig.Clauses.reserve(NClauses);
-        for (uint32_t J = 0; J != NClauses; ++J) {
-          ClauseSig C;
-          uint8_t Role, Pure;
-          if (!R.u8(Role) ||
-              Role > static_cast<uint8_t>(ClauseRole::ContractPost) ||
-              !R.u8(Pure) || Pure > 1 || !R.u64(C.Fp) || !R.str(C.Text))
-            return false;
-          C.Role = static_cast<ClauseRole>(Role);
-          C.Pure = Pure != 0;
-          D.Sig.Clauses.push_back(std::move(C));
-        }
+        C.Role = static_cast<ClauseRole>(Role);
+        C.Pure = Pure != 0;
+        D.Sig.Clauses.push_back(std::move(C));
       }
     }
     Ob.Deps.push_back(std::move(D));
   }
   return R.str(Ob.Blob) && R.done();
 }
+
+namespace {
 
 std::string encodeSolverBlock(const std::vector<SavedQueryVerdict> &Es) {
   Writer W;
@@ -267,7 +260,7 @@ bool ProofStore::load(bool AllowCompaction) {
   if (std::fread(Head, 1, sizeof Head, F) != sizeof Head ||
       std::memcmp(Head, Magic, sizeof Magic) != 0 ||
       std::fread(&Version, sizeof Version, 1, F) != 1 ||
-      Version < MinFormatVersion || Version > FormatVersion ||
+      Version != FormatVersion ||
       std::fread(&Reserved, sizeof Reserved, 1, F) != 1) {
     std::fclose(F);
     return false;
@@ -296,7 +289,7 @@ bool ProofStore::load(bool AllowCompaction) {
     }
     if (Type == RecObligation) {
       StoredObligation Ob;
-      if (!decodeObligation(Payload, Ob, Version)) {
+      if (!decodeObligationRecord(Payload, Ob)) {
         Truncated = true;
         break;
       }
@@ -322,11 +315,10 @@ bool ProofStore::load(bool AllowCompaction) {
   }
   std::fclose(F);
 
-  DiskValid = !Truncated && Version == FormatVersion;
-  if (AllowCompaction &&
-      (Superseded > 0 || Version != FormatVersion || Truncated)) {
-    // Rewrite the log as a compacted current-version snapshot: supersede
-    // chains collapse, torn tails are dropped, v3 stores are upgraded.
+  DiskValid = !Truncated;
+  if (AllowCompaction && (Superseded > 0 || Truncated)) {
+    // Rewrite the log as a compacted snapshot: supersede chains collapse
+    // and torn tails are dropped.
     if (writeSnapshot()) {
       ++Compactions;
       DiskValid = true;
@@ -396,7 +388,7 @@ bool ProofStore::writeSnapshot() {
             std::fwrite(&Version, sizeof Version, 1, F) == 1 &&
             std::fwrite(&Reserved, sizeof Reserved, 1, F) == 1;
   for (const auto &[Key, Ob] : Index)
-    Ok = Ok && writeStoreRecord(F, RecObligation, encodeObligation(Ob));
+    Ok = Ok && writeStoreRecord(F, RecObligation, encodeObligationRecord(Ob));
   if (!Solver.empty())
     Ok = Ok && writeStoreRecord(F, RecSolverBlock, encodeSolverBlock(Solver));
   Ok = std::fflush(F) == 0 && Ok;
@@ -430,7 +422,7 @@ bool ProofStore::flush() {
       auto It = Index.find(Key);
       if (It != Index.end())
         Ok = Ok && writeStoreRecord(F, RecObligation,
-                                    encodeObligation(It->second));
+                                    encodeObligationRecord(It->second));
     }
     if (SolverDirty && !Solver.empty())
       Ok = Ok &&
@@ -475,8 +467,6 @@ std::string gilr::incr::encodeVerifyReport(const engine::VerifyReport &R) {
     W.u64(P.Count);
     W.u64(P.Nanos);
   }
-  // v5 tail: the static-triage marker. Decoded tolerantly so v4 blobs
-  // (which end at the phase list) still replay as Static=false.
   W.u8(R.Static ? 1 : 0);
   return std::move(W.Out);
 }
@@ -508,9 +498,6 @@ bool gilr::incr::decodeVerifyReport(const std::string &Blob,
   for (trace::PhaseStat &P : Out.Phases)
     if (!R.str(P.Key) || !R.u64(P.Count) || !R.u64(P.Nanos))
       return false;
-  Out.Static = false;
-  if (R.done())
-    return true; // v4 blob: no Static tail byte.
   uint8_t Static;
   if (!R.u8(Static) || Static > 1)
     return false;
@@ -618,151 +605,4 @@ bool gilr::incr::decodeSafeReport(const std::string &Blob,
     if (!R.str(E))
       return false;
   return readSolverStats(R, Out.Solver) && R.done();
-}
-
-std::string gilr::incr::encodeFnSummary(const analysis::FnSummary &S) {
-  Writer W;
-  const bool Bools[] = {S.Known,          S.Recursive,     S.Leaf,
-                        S.Pure,           S.HeapReads,     S.HeapWrites,
-                        S.UnsafeOps,      S.UnsafeEscapes, S.HasGhost,
-                        S.HasCheckedArith, S.HasUnreachable, S.HasLemmaApply,
-                        S.WritesReturn};
-  for (bool B : Bools)
-    W.u8(B ? 1 : 0);
-  W.u32(static_cast<uint32_t>(S.Params.size()));
-  for (const analysis::ParamEffect &E : S.Params) {
-    W.u8(E.Read ? 1 : 0);
-    W.u8(E.Written ? 1 : 0);
-    W.u8(E.Escaped ? 1 : 0);
-  }
-  W.u32(static_cast<uint32_t>(S.MayAliasParams.size()));
-  for (const auto &[A, B] : S.MayAliasParams) {
-    W.u32(A);
-    W.u32(B);
-  }
-  W.u32(static_cast<uint32_t>(S.DepFns.size()));
-  for (const std::string &N : S.DepFns)
-    W.str(N);
-  W.u32(static_cast<uint32_t>(S.DepPreds.size()));
-  for (const std::string &N : S.DepPreds)
-    W.str(N);
-  return std::move(W.Out);
-}
-
-bool gilr::incr::decodeFnSummary(const std::string &Blob,
-                                 analysis::FnSummary &Out) {
-  Reader R(Blob);
-  bool *const Bools[] = {&Out.Known,          &Out.Recursive,
-                         &Out.Leaf,           &Out.Pure,
-                         &Out.HeapReads,      &Out.HeapWrites,
-                         &Out.UnsafeOps,      &Out.UnsafeEscapes,
-                         &Out.HasGhost,       &Out.HasCheckedArith,
-                         &Out.HasUnreachable, &Out.HasLemmaApply,
-                         &Out.WritesReturn};
-  for (bool *B : Bools) {
-    uint8_t V;
-    if (!R.u8(V) || V > 1)
-      return false;
-    *B = V != 0;
-  }
-  uint32_t N;
-  if (!R.u32(N))
-    return false;
-  Out.Params.clear();
-  Out.Params.resize(N);
-  for (analysis::ParamEffect &E : Out.Params) {
-    uint8_t Rd, Wr, Esc;
-    if (!R.u8(Rd) || Rd > 1 || !R.u8(Wr) || Wr > 1 || !R.u8(Esc) || Esc > 1)
-      return false;
-    E.Read = Rd != 0;
-    E.Written = Wr != 0;
-    E.Escaped = Esc != 0;
-  }
-  if (!R.u32(N))
-    return false;
-  Out.MayAliasParams.clear();
-  Out.MayAliasParams.resize(N);
-  for (auto &[A, B] : Out.MayAliasParams)
-    if (!R.u32(A) || !R.u32(B))
-      return false;
-  if (!R.u32(N))
-    return false;
-  Out.DepFns.clear();
-  for (uint32_t I = 0; I != N; ++I) {
-    std::string S;
-    if (!R.str(S))
-      return false;
-    Out.DepFns.insert(std::move(S));
-  }
-  if (!R.u32(N))
-    return false;
-  Out.DepPreds.clear();
-  for (uint32_t I = 0; I != N; ++I) {
-    std::string S;
-    if (!R.str(S))
-      return false;
-    Out.DepPreds.insert(std::move(S));
-  }
-  return R.done();
-}
-
-std::string gilr::incr::encodePredSummary(const analysis::PredSummary &S) {
-  Writer W;
-  W.u8(S.Known ? 1 : 0);
-  W.u8(S.OwnsUnknown ? 1 : 0);
-  W.u32(static_cast<uint32_t>(S.MayOwnParam.size()));
-  for (bool B : S.MayOwnParam)
-    W.u8(B ? 1 : 0);
-  W.u32(static_cast<uint32_t>(S.DepPreds.size()));
-  for (const std::string &N : S.DepPreds)
-    W.str(N);
-  return std::move(W.Out);
-}
-
-bool gilr::incr::decodePredSummary(const std::string &Blob,
-                                   analysis::PredSummary &Out) {
-  Reader R(Blob);
-  uint8_t Known, Owns;
-  uint32_t N;
-  if (!R.u8(Known) || Known > 1 || !R.u8(Owns) || Owns > 1 || !R.u32(N))
-    return false;
-  Out.Known = Known != 0;
-  Out.OwnsUnknown = Owns != 0;
-  Out.MayOwnParam.clear();
-  Out.MayOwnParam.resize(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    uint8_t B;
-    if (!R.u8(B) || B > 1)
-      return false;
-    Out.MayOwnParam[I] = B != 0;
-  }
-  if (!R.u32(N))
-    return false;
-  Out.DepPreds.clear();
-  for (uint32_t I = 0; I != N; ++I) {
-    std::string S;
-    if (!R.str(S))
-      return false;
-    Out.DepPreds.insert(std::move(S));
-  }
-  return R.done();
-}
-
-std::vector<const StoredObligation *> ProofStore::records() const {
-  std::vector<const StoredObligation *> Out;
-  Out.reserve(Index.size());
-  for (const auto &[Key, Ob] : Index) {
-    (void)Key;
-    Out.push_back(&Ob);
-  }
-  return Out;
-}
-
-std::string gilr::incr::encodeObligationRecord(const StoredObligation &Ob) {
-  return encodeObligation(Ob);
-}
-
-bool gilr::incr::decodeObligationRecord(const std::string &Payload,
-                                        StoredObligation &Out) {
-  return decodeObligation(Payload, Out, FormatVersion);
 }

@@ -7,7 +7,9 @@
 /// solver QueryCache entries of the producing run (keyed by the stable
 /// query fingerprint) to pre-warm the sched shards.
 ///
-/// Format (little-endian host widths, versioned):
+/// Format (little-endian host widths, version 6; a file with any other
+/// version loads as no store, i.e. a cold run, and the next writable flush
+/// replaces it):
 ///
 ///   magic "GILRPRF1" | u32 version | u32 reserved
 ///   record*          where record = u8 type | u32 len | payload[len]
@@ -30,7 +32,6 @@
 #define GILR_INCR_PROOFSTORE_H
 
 #include "analysis/Analysis.h"
-#include "analysis/Summary.h"
 #include "creusot/SafeVerifier.h"
 #include "engine/Verifier.h"
 #include "incr/DepGraph.h"
@@ -47,15 +48,15 @@ namespace gilr {
 namespace incr {
 
 /// One recorded dependency: the entity and the fingerprint it had when the
-/// proof ran, plus (format v4) its clause-level signature so a later
-/// session can diff the edit and attempt salvage (incr/SpecDiff.h).
+/// proof ran, plus its clause-level signature so a later session can diff
+/// the edit and attempt salvage (incr/SpecDiff.h).
 struct StoredDep {
   deps::Kind K = deps::Kind::Function;
   std::string Name;
   uint64_t Fp = 0;
   /// Whether \c Sig below was recorded. False for entity kinds without
-  /// clause structure (RMIR functions) and for deps loaded from a v3
-  /// store, which then fall back to plain fingerprint equality.
+  /// clause structure (RMIR functions), which fall back to plain
+  /// fingerprint equality.
   bool HasSig = false;
   EntitySig Sig;
 };
@@ -82,13 +83,13 @@ public:
   explicit ProofStore(std::string Path) : Path(std::move(Path)) {}
 
   /// Reads the store file. Returns false when there is no usable store
-  /// (missing file, foreign magic, unsupported version) — the caller runs
-  /// cold. A valid header followed by a torn tail loads the valid prefix
-  /// and reports \c truncated(). With \p AllowCompaction (writable
-  /// sessions), a log containing superseded records, a previous-version
-  /// header, or a torn tail is rewritten in place as a compacted snapshot —
-  /// the GILRPRF1 append-log would otherwise grow without bound across
-  /// sessions; \c compactions() counts the rewrites.
+  /// (missing file, foreign magic, any version but the current one) — the
+  /// caller runs cold. A valid header followed by a torn tail loads the
+  /// valid prefix and reports \c truncated(). With \p AllowCompaction
+  /// (writable sessions), a log containing superseded records or a torn
+  /// tail is rewritten in place as a compacted snapshot — the GILRPRF1
+  /// append-log would otherwise grow without bound across sessions;
+  /// \c compactions() counts the rewrites.
   bool load(bool AllowCompaction = false);
 
   /// Whether the last \c load stopped early at a malformed record.
@@ -98,11 +99,6 @@ public:
   uint64_t compactions() const { return Compactions; }
 
   const StoredObligation *lookup(Side S, const std::string &Name) const;
-
-  /// Every record, in (side, name) order — for backends that index the
-  /// store by content address (incr/CacheBackend.h). Pointers are
-  /// invalidated by put().
-  std::vector<const StoredObligation *> records() const;
 
   /// Inserts or replaces the verdict for (Ob.S, Ob.Name).
   void put(StoredObligation Ob);
@@ -153,14 +149,6 @@ bool decodeSafeReport(const std::string &Blob, creusot::SafeReport &Out);
 /// the pre-verification analysis, cached the way proof verdicts are.
 std::string encodeLintVerdict(const analysis::EntityVerdict &V);
 bool decodeLintVerdict(const std::string &Blob, analysis::EntityVerdict &Out);
-
-/// Summary blobs (Side::Summary records, format v5): one interprocedural
-/// function or predicate summary (analysis/Summary.h). Function summaries
-/// are keyed by the function name, predicate summaries by "pred:<name>".
-std::string encodeFnSummary(const analysis::FnSummary &S);
-bool decodeFnSummary(const std::string &Blob, analysis::FnSummary &Out);
-std::string encodePredSummary(const analysis::PredSummary &S);
-bool decodePredSummary(const std::string &Blob, analysis::PredSummary &Out);
 
 /// Whole-record codec at the current format version, shared with the
 /// content-addressed cache backends (incr/CacheBackend.h): a backend blob

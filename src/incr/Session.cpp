@@ -22,11 +22,9 @@ Session::Session(const IncrConfig &Cfg, engine::VerifEnv &Env,
     : Cfg(Cfg), Env(Env), Contracts(Contracts), Store(Cfg.StorePath) {
   ConfigFp = fpAutomation(Env.Auto, Env.Solv.MaxBranches);
   LintConfigFp = fpAnalysisConfig(Env.Lint, Env.Solv.MaxBranches);
-  SummaryConfigFp = fpSummaryConfig();
   if (!Cfg.StorePath.empty()) {
     // Writable sessions compact the append-log on load (superseded records
-    // dropped, previous-version stores upgraded); read-only ones must not
-    // touch the file.
+    // and torn tails dropped); read-only ones must not touch the file.
     Stats.StoreLoaded = Store.load(/*AllowCompaction=*/!Cfg.ReadOnly);
     Stats.StoreTruncated = Store.truncated();
     Stats.Compactions = Store.compactions();
@@ -152,10 +150,7 @@ Session::DepsVerdict Session::checkDeps(const StoredObligation &Ob,
       continue;
     // Lint verdicts never salvage: their diagnostics quote spec text, so a
     // semantically neutral rewrite would still change the rendered output.
-    // Summaries never salvage either: they are cheap to recompute and their
-    // facts depend on exact body/clause structure, not on implications.
-    if (!Cfg.SemanticSalvage || Ob.S == Side::Lint || Ob.S == Side::Summary ||
-        !D.HasSig)
+    if (!Cfg.SemanticSalvage || Ob.S == Side::Lint || !D.HasSig)
       return DepsVerdict::Invalid;
     const EntitySig &Cur = currentSig(DepKey{D.K, D.Name});
     // A proof is verified *against* its own spec and may also consume it at
@@ -213,6 +208,7 @@ void Session::refreshRecord(const StoredObligation &Ob, uint64_t SelfFp,
   Fresh.ConfigFp = Ob.ConfigFp;
   Fresh.Deps = snapshotDeps(DepKeys);
   Fresh.Blob = Ob.Blob;
+  publishShared(Fresh);
   Store.put(std::move(Fresh)); // Replaces Ob: the caller's pointer dies.
 }
 
@@ -442,127 +438,6 @@ void Session::recordLint(const std::string &Func,
   Ob.ConfigFp = LintConfigFp;
   Ob.Deps = snapshotDeps(Deps);
   Ob.Blob = encodeLintVerdict(V);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
-}
-
-namespace {
-/// Side::Summary store key for a predicate summary (function summaries use
-/// the bare name; the prefix keeps the two namespaces disjoint).
-std::string predSummaryKey(const std::string &Pred) { return "pred:" + Pred; }
-} // namespace
-
-bool Session::lookupSummaryFn(const std::string &Func,
-                              analysis::FnSummary &Out) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  const StoredObligation *Ob = Store.lookup(Side::Summary, Func);
-  if (Ob && (Ob->ConfigFp != SummaryConfigFp || Ob->SelfFp != SelfFp))
-    Ob = nullptr;
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob && fetchShared(Side::Summary, Func, SelfFp, SummaryConfigFp,
-                         Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob)
-    return false;
-  // Summaries never salvage: only a Clean dependency set replays.
-  if (checkDeps(*Ob, 'M') != DepsVerdict::Clean)
-    return false;
-  if (!decodeFnSummary(Ob->Blob, Out))
-    return false; // Malformed blob: treat as a miss, recompute.
-  ++Stats.SummariesReused;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.summaries_reused");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-    if (!Cfg.ReadOnly)
-      Store.put(StoredObligation(Shared));
-  }
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  Graph.record(ObligationId{Side::Summary, Func}, std::move(Deps));
-  return true;
-}
-
-void Session::recordSummaryFn(const std::string &Func,
-                              const std::set<DepKey> &Deps,
-                              const analysis::FnSummary &S) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.SummariesComputed;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.summaries_computed");
-  Graph.record(ObligationId{Side::Summary, Func}, std::set<DepKey>(Deps));
-  StoredObligation Ob;
-  Ob.S = Side::Summary;
-  Ob.Name = Func;
-  Ob.SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  Ob.ConfigFp = SummaryConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodeFnSummary(S);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
-}
-
-bool Session::lookupSummaryPred(const std::string &Pred,
-                                analysis::PredSummary &Out) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::string Key = predSummaryKey(Pred);
-  uint64_t SelfFp = currentFp(DepKey{deps::Kind::Pred, Pred});
-  const StoredObligation *Ob = Store.lookup(Side::Summary, Key);
-  if (Ob && (Ob->ConfigFp != SummaryConfigFp || Ob->SelfFp != SelfFp))
-    Ob = nullptr;
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob &&
-      fetchShared(Side::Summary, Key, SelfFp, SummaryConfigFp, Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob)
-    return false;
-  if (checkDeps(*Ob, 'M') != DepsVerdict::Clean)
-    return false;
-  if (!decodePredSummary(Ob->Blob, Out))
-    return false;
-  ++Stats.SummariesReused;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.summaries_reused");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-    if (!Cfg.ReadOnly)
-      Store.put(StoredObligation(Shared));
-  }
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  Graph.record(ObligationId{Side::Summary, Key}, std::move(Deps));
-  return true;
-}
-
-void Session::recordSummaryPred(const std::string &Pred,
-                                const std::set<DepKey> &Deps,
-                                const analysis::PredSummary &S) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.SummariesComputed;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.summaries_computed");
-  std::string Key = predSummaryKey(Pred);
-  Graph.record(ObligationId{Side::Summary, Key}, std::set<DepKey>(Deps));
-  StoredObligation Ob;
-  Ob.S = Side::Summary;
-  Ob.Name = std::move(Key);
-  Ob.SelfFp = currentFp(DepKey{deps::Kind::Pred, Pred});
-  Ob.ConfigFp = SummaryConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodePredSummary(S);
   publishShared(Ob);
   Store.put(std::move(Ob));
 }

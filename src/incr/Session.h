@@ -72,7 +72,7 @@ struct IncrConfig {
   bool SemanticSalvage = true;
   /// Shared content-addressed cache directory (incr/CacheBackend.h), the
   /// second cache level behind the local store: local misses consult it,
-  /// fresh verdicts are published to it. Empty = no shared cache. The
+  /// fresh and salvaged verdicts are published to it. Empty = no shared cache. The
   /// session owns the backend; ReadOnly above also makes it read-only.
   std::string SharedCacheDir;
   /// Size budget of the shared directory in bytes, enforced by its LRU GC
@@ -96,11 +96,6 @@ struct IncrRunStats {
   /// fresh. Kept out of cached()/verified(), which count proof obligations.
   uint64_t CachedLint = 0;
   uint64_t AnalyzedLint = 0;
-  /// Interprocedural summaries (Side::Summary) computed this run vs.
-  /// replayed from the store. Like lint verdicts, kept out of
-  /// cached()/verified().
-  uint64_t SummariesComputed = 0;
-  uint64_t SummariesReused = 0;
   /// Obligations the triage tier discharged statically (summary proves them
   /// trivially safe; the executor never ran). Bumped by the scheduler, not
   /// the session.
@@ -114,8 +109,8 @@ struct IncrRunStats {
   uint64_t Implied = 0;
   /// Solver queries spent discharging salvage implications.
   uint64_t SalvageQueries = 0;
-  /// Load-time store compaction rewrites (superseded append-log records
-  /// dropped, previous-version stores upgraded).
+  /// Load-time store compaction rewrites (superseded append-log records or
+  /// a torn tail dropped).
   uint64_t Compactions = 0;
   /// Verdicts replayed from the shared content-addressed backend after a
   /// local-store miss (also counted in cached()/CachedLint), and fresh
@@ -163,21 +158,6 @@ public:
   bool lookupLint(const std::string &Func, analysis::EntityVerdict &Out);
   void recordLint(const std::string &Func, const std::set<DepKey> &Deps,
                   const analysis::EntityVerdict &V);
-
-  /// Interprocedural summaries (Side::Summary), cached like lint verdicts
-  /// but keyed by the summary version salt (incr::fpSummaryConfig) — they
-  /// are a pure function of the program tables, so no knob invalidates
-  /// them. Function summaries are keyed by the function name; predicate
-  /// summaries by "pred:<name>". The dependency sets are the summaries' own
-  /// reachable closures (FnSummary::DepFns/DepPreds), so an edit
-  /// invalidates exactly the reverse-reachable summaries.
-  bool lookupSummaryFn(const std::string &Func, analysis::FnSummary &Out);
-  void recordSummaryFn(const std::string &Func, const std::set<DepKey> &Deps,
-                       const analysis::FnSummary &S);
-  bool lookupSummaryPred(const std::string &Pred, analysis::PredSummary &Out);
-  void recordSummaryPred(const std::string &Pred,
-                         const std::set<DepKey> &Deps,
-                         const analysis::PredSummary &S);
 
   /// Bumps the static-triage counter (the scheduler's triage tier reports
   /// through the session so the counters travel with the run stats).
@@ -229,7 +209,8 @@ private:
   /// Publishes \p Ob to the shared backend (no-op without one).
   void publishShared(const StoredObligation &Ob);
   /// Re-records a salvaged obligation under the current fingerprints (same
-  /// blob), so the next run takes the plain warm path. Invalidates \p Ob.
+  /// blob) in the local store and the shared backend, so the next run takes
+  /// the plain warm path. Invalidates \p Ob.
   void refreshRecord(const StoredObligation &Ob, uint64_t SelfFp,
                      const std::set<DepKey> &DepKeys);
 
@@ -245,7 +226,6 @@ private:
   IncrRunStats Stats;
   uint64_t ConfigFp = 0;
   uint64_t LintConfigFp = 0;
-  uint64_t SummaryConfigFp = 0;
   std::mutex Mu;
   std::map<DepKey, uint64_t> FpMemo;
   std::map<DepKey, EntitySig> SigMemo;

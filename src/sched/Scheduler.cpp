@@ -76,44 +76,20 @@ std::set<incr::DepKey> finishRecording(std::optional<incr::DepRecorder> &Rec) {
   return Deps;
 }
 
-/// A summary's store dependency set is its own reachable closure: every
-/// function it saw (body and spec — purity and unsafe-escape read both) and
-/// every predicate. Unknown callees are in DepFns too, so a summary
-/// invalidates when one gains a body.
-std::set<incr::DepKey> fnSummaryDeps(const analysis::FnSummary &S) {
-  std::set<incr::DepKey> Deps;
-  for (const std::string &D : S.DepFns) {
-    Deps.insert({deps::Kind::Function, D});
-    Deps.insert({deps::Kind::Spec, D});
-  }
-  for (const std::string &D : S.DepPreds)
-    Deps.insert({deps::Kind::Pred, D});
-  return Deps;
-}
-
-std::set<incr::DepKey> predSummaryDeps(const analysis::PredSummary &S) {
-  std::set<incr::DepKey> Deps;
-  for (const std::string &D : S.DepPreds)
-    Deps.insert({deps::Kind::Pred, D});
-  return Deps;
+/// The interprocedural summary phase (analysis/Summary.h): serial,
+/// bottom-up over the SCC condensation, recomputed every run.
+analysis::SummaryTable summaryPhase(const engine::VerifEnv &Env) {
+  GILR_TRACE_SCOPE("sched", "summary-phase");
+  return analysis::computeSummaries(Env.Prog, Env.Preds, Env.Specs);
 }
 
 /// Publishes the interproc telemetry section at the end of a scheduled run.
-/// Counts come from the session when there is one (replay vs. fresh split);
-/// a plain run computed the whole table fresh.
-void recordInterprocReport(const analysis::SummaryTable &T,
-                           const incr::Session *Incr, uint64_t Triaged,
+void recordInterprocReport(const analysis::SummaryTable &T, uint64_t Triaged,
                            double Seconds) {
   metrics::InterprocReport R;
   R.Valid = true;
   R.FnSummaries = T.Fns.size();
   R.PredSummaries = T.Preds.size();
-  if (Incr) {
-    R.SummariesComputed = Incr->stats().SummariesComputed;
-    R.SummariesReused = Incr->stats().SummariesReused;
-  } else {
-    R.SummariesComputed = T.Fns.size() + T.Preds.size();
-  }
   R.TriagedStatic = Triaged;
   R.Seconds = Seconds;
   metrics::Registry::get().setInterprocReport(std::move(R));
@@ -164,71 +140,6 @@ void Scheduler::recordCacheReport() const {
   for (const ShardStatsSnapshot &S : Snap.Shards)
     R.Shards.push_back({S.Hits, S.Misses});
   metrics::Registry::get().setQueryCacheReport(std::move(R));
-}
-
-analysis::SummaryTable Scheduler::summaryPhase(engine::VerifEnv &Env,
-                                               incr::Session *Incr) {
-  GILR_TRACE_SCOPE("sched", "summary-phase");
-  if (!Incr)
-    return analysis::computeSummaries(Env.Prog, Env.Preds, Env.Specs);
-
-  analysis::SummaryTable T;
-  analysis::CallGraph G =
-      analysis::CallGraph::build(Env.Prog, Env.Preds, Env.Specs);
-  T.PredSccs = analysis::condenseSccs(G.PredRefs);
-  T.FnSccs = analysis::condenseSccs(G.FnCalls);
-
-  // Bottom-up, SCC-grouped: every member of an SCC must replay or the whole
-  // SCC recomputes — summaries inside one SCC are a joint fixpoint, so a
-  // partial replay could mix facts from different program versions. (The
-  // grouping costs nothing in practice: each member's dependency closure
-  // contains the whole SCC, so the members invalidate together anyway.)
-  for (const analysis::Scc &S : T.PredSccs) {
-    std::map<std::string, analysis::PredSummary> Hits;
-    bool AllHit = true;
-    for (const std::string &Name : S.Members) {
-      analysis::PredSummary PS;
-      if (Incr->lookupSummaryPred(Name, PS))
-        Hits.emplace(Name, std::move(PS));
-      else {
-        AllHit = false;
-        break;
-      }
-    }
-    if (AllHit) {
-      for (auto &[Name, PS] : Hits)
-        T.Preds[Name] = std::move(PS);
-      continue;
-    }
-    analysis::summarizePredScc(Env.Preds, G, S, T);
-    for (const std::string &Name : S.Members)
-      if (const analysis::PredSummary *PS = T.pred(Name))
-        Incr->recordSummaryPred(Name, predSummaryDeps(*PS), *PS);
-  }
-
-  for (const analysis::Scc &S : T.FnSccs) {
-    std::map<std::string, analysis::FnSummary> Hits;
-    bool AllHit = true;
-    for (const std::string &Name : S.Members) {
-      analysis::FnSummary FS;
-      if (Incr->lookupSummaryFn(Name, FS))
-        Hits.emplace(Name, std::move(FS));
-      else {
-        AllHit = false;
-        break;
-      }
-    }
-    if (AllHit) {
-      for (auto &[Name, FS] : Hits)
-        T.Fns[Name] = std::move(FS);
-      continue;
-    }
-    analysis::summarizeFnScc(Env.Prog, Env.Specs, G, S, T);
-    for (const std::string &Name : S.Members)
-      if (const analysis::FnSummary *FS = T.fn(Name))
-        Incr->recordSummaryFn(Name, fnSummaryDeps(*FS), *FS);
-  }
-  return T;
 }
 
 analysis::AnalysisResult Scheduler::lintPhase(
@@ -287,7 +198,7 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
   std::atomic<uint64_t> Triaged{0};
   if (Env.Lint.Enabled) {
     auto S0 = std::chrono::steady_clock::now();
-    Summaries.emplace(summaryPhase(Env, Incr));
+    Summaries.emplace(summaryPhase(Env));
     SummarySeconds = std::chrono::duration_cast<std::chrono::duration<double>>(
                          std::chrono::steady_clock::now() - S0)
                          .count();
@@ -371,90 +282,29 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
     }
   });
   if (Summaries)
-    recordInterprocReport(*Summaries, Incr, Triaged.load(), SummarySeconds);
+    recordInterprocReport(*Summaries, Triaged.load(), SummarySeconds);
   return Report;
-}
-
-std::vector<engine::VerifyReport>
-Scheduler::verifyAll(engine::VerifEnv &Env,
-                     const std::vector<std::string> &Names,
-                     incr::Session *Incr,
-                     analysis::AnalysisResult *AnalysisOut) {
-  std::vector<engine::VerifyReport> Reports(Names.size());
-
-  std::vector<std::pair<std::string, analysis::EntityVerdict>> Verdicts;
-  std::optional<analysis::SummaryTable> Summaries;
-  double SummarySeconds = 0.0;
-  std::atomic<uint64_t> Triaged{0};
-  analysis::AnalysisResult AR;
-  if (Env.Lint.Enabled) {
-    auto S0 = std::chrono::steady_clock::now();
-    Summaries.emplace(summaryPhase(Env, Incr));
-    SummarySeconds = std::chrono::duration_cast<std::chrono::duration<double>>(
-                         std::chrono::steady_clock::now() - S0)
-                         .count();
-    AR = lintPhase(Env, Names, Incr, &*Summaries, Verdicts);
-  }
-  if (AnalysisOut)
-    *AnalysisOut = std::move(AR);
-
-  JobGraph G = JobGraph::build(Names, {});
-  runJobs(G, [&](const ProofJob &J) {
-    GILR_TRACE_SCOPE_D("sched", "job", J.Name);
-    const analysis::EntityVerdict *V =
-        Verdicts.empty() ? nullptr : &Verdicts[J.Slot].second;
-    if (V && V->Blocked) {
-      Reports[J.Slot] = engine::lintBlockedReport(J.Name, *V);
-      return;
-    }
-    // Triage tier (see runHybrid): summary-proved obligations skip the
-    // executor and report a deterministic static verdict.
-    if (Summaries) {
-      const rmir::Function *F = Env.Prog.lookup(J.Name);
-      const gilsonite::Spec *Sp = Env.Specs.lookup(J.Name);
-      if (F && Sp && analysis::triviallyStatic(*F, *Sp, *Summaries)) {
-        engine::VerifyReport TR = engine::staticTriageReport(J.Name, *F);
-        if (V)
-          TR.Diags = V->Diags;
-        ++Triaged;
-        if (Incr)
-          Incr->noteTriagedStatic();
-        Reports[J.Slot] = std::move(TR);
-        return;
-      }
-    }
-    engine::VerifyReport R;
-    if (Incr && Incr->lookupUnsafe(J.Name, R)) {
-      flight::noteCachedObligation(J.Name, 'U', R.Ok);
-      if (V)
-        R.Diags = V->Diags;
-      Reports[J.Slot] = std::move(R);
-      return;
-    }
-    std::optional<incr::DepRecorder> Rec;
-    if (Incr)
-      Rec.emplace();
-    bool Exhausted = withJobBudget(Config, [&] {
-      engine::Verifier V2(Env);
-      R = V2.verifyFunction(J.Name);
-    });
-    if (Exhausted)
-      markBudgetExhausted(R.Errors, R.Ok, R.TimedOut, J.Name);
-    std::set<incr::DepKey> Deps = finishRecording(Rec);
-    if (Incr)
-      Incr->recordUnsafe(J.Name, Deps, R);
-    if (V)
-      R.Diags = V->Diags;
-    Reports[J.Slot] = std::move(R);
-  });
-  if (Summaries)
-    recordInterprocReport(*Summaries, Incr, Triaged.load(), SummarySeconds);
-  return Reports;
 }
 
 //===----------------------------------------------------------------------===//
 // SchedulerConfig entry points of the lower layers
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The unsafe side alone (the engine::Verifier::verifyAll overloads): a
+/// hybrid run with no contracts and no clients.
+std::vector<engine::VerifyReport>
+runUnsafeSide(Scheduler &S, engine::VerifEnv &Env,
+              const std::vector<std::string> &Names, incr::Session *Incr,
+              analysis::AnalysisResult &AnalysisOut) {
+  hybrid::HybridReport R =
+      S.runHybrid(Env, creusot::PearliteSpecTable(), Names, {}, Incr);
+  AnalysisOut = std::move(R.Analysis);
+  return std::move(R.UnsafeSide);
+}
+
+} // namespace
 
 hybrid::HybridReport
 hybrid::HybridDriver::run(const std::vector<std::string> &UnsafeFuncs,
@@ -468,7 +318,7 @@ std::vector<engine::VerifyReport>
 engine::Verifier::verifyAll(const std::vector<std::string> &Names,
                             const sched::SchedulerConfig &Config) {
   Scheduler S(Config);
-  return S.verifyAll(Env, Names, nullptr, &LastAnalysis);
+  return runUnsafeSide(S, Env, Names, nullptr, LastAnalysis);
 }
 
 //===----------------------------------------------------------------------===//
@@ -545,7 +395,7 @@ engine::Verifier::verifyAll(const std::vector<std::string> &Names,
   if (Inc.LoadSolverCache)
     S.preloadCache(Sess.solverEntriesToLoad());
   std::vector<engine::VerifyReport> Reports =
-      S.verifyAll(Env, Names, &Sess, &LastAnalysis);
+      runUnsafeSide(S, Env, Names, &Sess, LastAnalysis);
   if (Inc.SaveSolverCache)
     Sess.saveSolverEntries(S.exportCacheEntries());
   Sess.flush();

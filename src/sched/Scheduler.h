@@ -74,19 +74,14 @@ public:
   /// When Env.Lint.Enabled, a lint phase runs first (its jobs on the same
   /// pool): entities the pre-pass rejects are reported failed without a
   /// proof job, and every report carries its entity's diagnostics. The
-  /// aggregated analysis verdict lands in HybridReport::Analysis.
+  /// aggregated analysis verdict lands in HybridReport::Analysis. The
+  /// engine::Verifier::verifyAll overloads run the unsafe side alone as a
+  /// hybrid run with no contracts and no clients.
   hybrid::HybridReport runHybrid(engine::VerifEnv &Env,
                                  const creusot::PearliteSpecTable &Contracts,
                                  const std::vector<std::string> &UnsafeFuncs,
                                  const std::vector<creusot::SafeFn> &Clients,
                                  incr::Session *Incr = nullptr);
-
-  /// Unsafe side only (the engine::Verifier::verifyAll path). \p AnalysisOut,
-  /// if given, receives the aggregated pre-verification analysis result.
-  std::vector<engine::VerifyReport>
-  verifyAll(engine::VerifEnv &Env, const std::vector<std::string> &Names,
-            incr::Session *Incr = nullptr,
-            analysis::AnalysisResult *AnalysisOut = nullptr);
 
   const SchedulerConfig &config() const { return Config; }
 
@@ -118,22 +113,12 @@ private:
   /// telemetry JSON can report hit rates (no-op when caching is disabled).
   void recordCacheReport() const;
 
-  /// The interprocedural summary phase (analysis/Summary.h): serial,
-  /// bottom-up over the SCC condensation. With \p Incr, an SCC whose every
-  /// member's stored summary still validates replays from the store;
-  /// otherwise the whole SCC is recomputed and recorded with its reachable
-  /// closure as the dependency set — so an edit invalidates exactly the
-  /// reverse-reachable summaries. The resulting table is a pure function of
-  /// the program, whatever mix of replay and recompute built it.
-  analysis::SummaryTable summaryPhase(engine::VerifEnv &Env,
-                                      incr::Session *Incr);
-
   /// The pre-verification lint phase: one lint job per entity on the pool
   /// (cached verdicts replayed through \p Incr), then the program-level
   /// lints, finalized into the returned result. \p Verdicts receives the
   /// per-entity verdicts in input order (the proof phase consults them to
   /// skip blocked entities and attach diagnostics). \p Summaries (from
-  /// summaryPhase) powers the interprocedural lints; may be null.
+  /// the summary phase) powers the interprocedural lints; may be null.
   analysis::AnalysisResult
   lintPhase(engine::VerifEnv &Env, const std::vector<std::string> &Names,
             incr::Session *Incr, const analysis::SummaryTable *Summaries,

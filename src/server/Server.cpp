@@ -369,9 +369,7 @@ void Server::runModule(
      << ", \"salvage_queries\": " << St.SalvageQueries
      << ", \"shared_hits\": " << St.SharedHits
      << ", \"shared_puts\": " << St.SharedPuts << "}"
-     << ", \"interproc\": {\"summaries_computed\": " << St.SummariesComputed
-     << ", \"summaries_reused\": " << St.SummariesReused
-     << ", \"triaged_static\": " << St.TriagedStatic << "}"
+     << ", \"interproc\": {\"triaged_static\": " << St.TriagedStatic << "}"
      << ", \"solver\": {\"sat_queries\": " << Delta.SatQueries.get()
      << ", \"entail_queries\": " << Delta.EntailQueries.get()
      << ", \"branches\": " << Delta.Branches.get()

@@ -233,10 +233,6 @@ struct InterprocReport {
   /// Function/predicate summaries in the table this run ended with.
   uint64_t FnSummaries = 0;
   uint64_t PredSummaries = 0;
-  /// Summaries computed fresh vs. replayed from the incremental store
-  /// (non-incremental runs compute everything fresh).
-  uint64_t SummariesComputed = 0;
-  uint64_t SummariesReused = 0;
   /// Obligations the triage tier discharged statically (the executor never
   /// ran; see engine::staticTriageReport).
   uint64_t TriagedStatic = 0;

@@ -438,8 +438,6 @@ gilr::trace::renderStatsJson(const std::vector<std::string> &CaseStudies) {
     Out += "  \"interproc\": {";
     Out += "\"fn_summaries\": " + std::to_string(IP.FnSummaries);
     Out += ", \"pred_summaries\": " + std::to_string(IP.PredSummaries);
-    Out += ", \"summaries_computed\": " + std::to_string(IP.SummariesComputed);
-    Out += ", \"summaries_reused\": " + std::to_string(IP.SummariesReused);
     Out += ", \"triaged_static\": " + std::to_string(IP.TriagedStatic);
     Out += std::string(", \"seconds\": ") + IpSecs;
     Out += "},\n";

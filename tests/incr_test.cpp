@@ -31,6 +31,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 
 using namespace gilr;
@@ -205,6 +207,26 @@ TEST_F(IncrTest, ProofStoreRoundTrips) {
   EXPECT_EQ(Rd.solverEntries()[0].V.Branches, 9u);
 }
 
+// Raw little helpers mirroring the store's wire format, for hand-rolling a
+// previous-version file the current writer can no longer produce.
+void appendU32(std::string &S, uint32_t V) {
+  S.append(reinterpret_cast<const char *>(&V), sizeof V);
+}
+void appendU64(std::string &S, uint64_t V) {
+  S.append(reinterpret_cast<const char *>(&V), sizeof V);
+}
+uint64_t recordFnv1a(uint8_t Type, const std::string &Payload) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto Step = [&H](unsigned char C) {
+    H ^= C;
+    H *= 0x100000001b3ull;
+  };
+  Step(Type);
+  for (unsigned char C : Payload)
+    Step(C);
+  return H;
+}
+
 TEST_F(IncrTest, MissingAndForeignStoresRunCold) {
   incr::ProofStore Missing(tempStorePath("missing"));
   EXPECT_FALSE(Missing.load());
@@ -218,6 +240,48 @@ TEST_F(IncrTest, MissingAndForeignStoresRunCold) {
   incr::ProofStore Foreign(Path);
   EXPECT_FALSE(Foreign.load());
   EXPECT_EQ(Foreign.size(), 0u);
+
+  // A format-5 store (the last version with summary records) holding one
+  // well-formed obligation record: it loads as no store, and the next
+  // writable flush replaces it with a current-format file.
+  incr::StoredObligation Ob;
+  Ob.S = incr::Side::Unsafe;
+  Ob.Name = "f";
+  Ob.SelfFp = 0xabc;
+  Ob.ConfigFp = 0xdef;
+  Ob.Blob = incr::encodeVerifyReport(sampleReport());
+  std::string Payload = incr::encodeObligationRecord(Ob);
+  std::string File = "GILRPRF1";
+  appendU32(File, 5); // Format version.
+  appendU32(File, 0); // Reserved.
+  File.push_back(1);  // RecObligation.
+  appendU32(File, static_cast<uint32_t>(Payload.size()));
+  File += Payload;
+  appendU64(File, recordFnv1a(1, Payload));
+  std::string OldPath = tempStorePath("format5");
+  {
+    std::ofstream Out(OldPath, std::ios::binary);
+    Out.write(File.data(), static_cast<std::streamsize>(File.size()));
+  }
+  incr::ProofStore Old(OldPath);
+  EXPECT_FALSE(Old.load(/*AllowCompaction=*/true));
+  EXPECT_EQ(Old.size(), 0u);
+  EXPECT_EQ(Old.compactions(), 0u);
+  EXPECT_EQ(readFileBytes(OldPath), File);
+  Ob.Name = "g";
+  Old.put(Ob);
+  ASSERT_TRUE(Old.flush());
+  std::string Bytes = readFileBytes(OldPath);
+  ASSERT_GE(Bytes.size(), 16u);
+  EXPECT_EQ(Bytes.compare(0, 8, "GILRPRF1"), 0);
+  uint32_t Version = 0;
+  std::memcpy(&Version, Bytes.data() + 8, sizeof Version);
+  EXPECT_EQ(Version, 6u);
+  incr::ProofStore Current(OldPath);
+  ASSERT_TRUE(Current.load());
+  EXPECT_EQ(Current.size(), 1u);
+  EXPECT_EQ(Current.lookup(incr::Side::Unsafe, "f"), nullptr);
+  EXPECT_NE(Current.lookup(incr::Side::Unsafe, "g"), nullptr);
 }
 
 TEST_F(IncrTest, TruncatedStoreKeepsValidPrefix) {
@@ -258,94 +322,6 @@ TEST_F(IncrTest, TruncatedStoreKeepsValidPrefix) {
   EXPECT_TRUE(Rd2.load());
   EXPECT_TRUE(Rd2.truncated());
   EXPECT_LT(Rd2.size(), 2u);
-}
-
-// Raw little helpers mirroring the store's wire format, for hand-rolling a
-// previous-version file the current writer can no longer produce.
-void appendU32(std::string &S, uint32_t V) {
-  S.append(reinterpret_cast<const char *>(&V), sizeof V);
-}
-void appendU64(std::string &S, uint64_t V) {
-  S.append(reinterpret_cast<const char *>(&V), sizeof V);
-}
-void appendStr(std::string &S, const std::string &T) {
-  appendU32(S, static_cast<uint32_t>(T.size()));
-  S += T;
-}
-uint64_t recordFnv1a(uint8_t Type, const std::string &Payload) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Step = [&H](unsigned char C) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  };
-  Step(Type);
-  for (unsigned char C : Payload)
-    Step(C);
-  return H;
-}
-
-TEST_F(IncrTest, V3StoreLoadsAndUpgradesOnCompaction) {
-  // A hand-rolled format-v3 store: one obligation whose dep carries no
-  // clause signature (the field did not exist yet).
-  std::string Payload;
-  Payload.push_back(0); // Side::Unsafe.
-  appendStr(Payload, "f");
-  appendU64(Payload, 0xabc);
-  appendU64(Payload, 0xdef);
-  appendU32(Payload, 1); // One dep, v3 layout: kind | name | fp.
-  Payload.push_back(static_cast<char>(deps::Kind::Spec));
-  appendStr(Payload, "f");
-  appendU64(Payload, 42);
-  appendStr(Payload, "blob");
-
-  std::string File = "GILRPRF1";
-  appendU32(File, 3); // Previous format version.
-  appendU32(File, 0); // Reserved.
-  File.push_back(1);  // RecObligation.
-  appendU32(File, static_cast<uint32_t>(Payload.size()));
-  File += Payload;
-  appendU64(File, recordFnv1a(1, Payload));
-
-  std::string Path = tempStorePath("v3_compat");
-  {
-    std::ofstream Out(Path, std::ios::binary);
-    Out.write(File.data(), static_cast<std::streamsize>(File.size()));
-  }
-
-  // A read-only load understands v3 — deps simply carry no signature (so
-  // they fall back to plain fingerprint equality) — and leaves the file
-  // byte-identical.
-  incr::ProofStore RO(Path);
-  ASSERT_TRUE(RO.load(/*AllowCompaction=*/false));
-  EXPECT_FALSE(RO.truncated());
-  EXPECT_EQ(RO.compactions(), 0u);
-  ASSERT_EQ(RO.size(), 1u);
-  const incr::StoredObligation *Got = RO.lookup(incr::Side::Unsafe, "f");
-  ASSERT_NE(Got, nullptr);
-  EXPECT_EQ(Got->SelfFp, 0xabcu);
-  EXPECT_EQ(Got->ConfigFp, 0xdefu);
-  ASSERT_EQ(Got->Deps.size(), 1u);
-  EXPECT_EQ(Got->Deps[0].K, deps::Kind::Spec);
-  EXPECT_EQ(Got->Deps[0].Fp, 42u);
-  EXPECT_FALSE(Got->Deps[0].HasSig);
-  EXPECT_EQ(Got->Blob, "blob");
-  EXPECT_EQ(readFileBytes(Path), File);
-
-  // A writable load upgrades the file to the current version in a single
-  // compaction rewrite; afterwards loads are rewrite-free.
-  incr::ProofStore W(Path);
-  ASSERT_TRUE(W.load(/*AllowCompaction=*/true));
-  EXPECT_EQ(W.compactions(), 1u);
-  EXPECT_NE(readFileBytes(Path), File);
-
-  incr::ProofStore Again(Path);
-  ASSERT_TRUE(Again.load(/*AllowCompaction=*/true));
-  EXPECT_EQ(Again.compactions(), 0u);
-  const incr::StoredObligation *G2 = Again.lookup(incr::Side::Unsafe, "f");
-  ASSERT_NE(G2, nullptr);
-  EXPECT_EQ(G2->Blob, "blob");
-  ASSERT_EQ(G2->Deps.size(), 1u);
-  EXPECT_FALSE(G2->Deps[0].HasSig);
 }
 
 TEST_F(IncrTest, LoadCompactionDropsSupersededRecords) {
@@ -836,16 +812,23 @@ TEST_F(IncrTest, ContractClauseEditReverifiesExactlyItsDependents) {
 
 /// Scaffold for the spec-edit tests: a private Vec universe (the edits
 /// mutate the spec table in place), lints off so the runs measure proof
-/// obligations only.
+/// obligations only. The runs keep their verdicts in a store file, or with
+/// \p Shared in a shared cache directory alone (how gilrd and
+/// `gilr verify --shared-cache` run).
 struct VecEditRun {
   std::unique_ptr<VecLib> VL = buildVecLib();
   std::vector<std::string> Funcs = vecFunctions();
   incr::IncrConfig Inc;
   sched::SchedulerConfig C;
 
-  explicit VecEditRun(const std::string &StoreName) {
+  explicit VecEditRun(const std::string &Name, bool Shared = false) {
     Inc.Enabled = true;
-    Inc.StorePath = tempStorePath(StoreName);
+    if (Shared) {
+      Inc.SharedCacheDir = ::testing::TempDir() + "gilr_incr_" + Name;
+      std::filesystem::remove_all(Inc.SharedCacheDir);
+    } else {
+      Inc.StorePath = tempStorePath(Name);
+    }
   }
 
   std::vector<engine::VerifyReport> run(incr::IncrRunStats &S) {
@@ -894,8 +877,10 @@ TEST_F(IncrTest, SpecConjunctReorderSalvagesWithZeroSolverWork) {
   EXPECT_EQ(S2.SalvageQueries, 0u);
 }
 
-TEST_F(IncrTest, SpecConjunctStrengthenSalvagesThroughImplication) {
-  VecEditRun R("spec_strengthen");
+/// Rewrites one pure pre conjunct equivalently, then expects the salvage
+/// through implication and, on the run after it, a plain warm hit.
+void strengthenSalvagesThroughImplication(bool Shared) {
+  VecEditRun R("spec_strengthen", Shared);
   incr::IncrRunStats S1;
   for (const engine::VerifyReport &Rep : R.run(S1))
     ASSERT_TRUE(Rep.Ok) << Rep.Func;
@@ -935,8 +920,18 @@ TEST_F(IncrTest, SpecConjunctStrengthenSalvagesThroughImplication) {
   EXPECT_EQ(S3.SalvageQueries, 0u);
 }
 
-TEST_F(IncrTest, SpecConjunctDeleteOnUsedSideReverifies) {
-  VecEditRun R("spec_delete");
+TEST_F(IncrTest, SpecConjunctStrengthenSalvagesThroughImplication) {
+  strengthenSalvagesThroughImplication(/*Shared=*/false);
+}
+
+TEST_F(IncrTest, SpecConjunctStrengthenSalvagesThroughImplicationShared) {
+  strengthenSalvagesThroughImplication(/*Shared=*/true);
+}
+
+/// Deletes a pure post conjunct the proof established, then expects one
+/// re-proof and, on the run after it, a plain warm hit.
+void deleteOnUsedSideReverifies(bool Shared) {
+  VecEditRun R("spec_delete", Shared);
   incr::IncrRunStats S1;
   for (const engine::VerifyReport &Rep : R.run(S1))
     ASSERT_TRUE(Rep.Ok) << Rep.Func;
@@ -960,6 +955,22 @@ TEST_F(IncrTest, SpecConjunctDeleteOnUsedSideReverifies) {
   EXPECT_EQ(S2.VerifiedUnsafe, 1u);
   EXPECT_EQ(S2.CachedUnsafe, R.Funcs.size() - 1);
   EXPECT_EQ(S2.Salvaged + S2.Implied, 0u);
+
+  // The re-proved verdict replaced the stale record, so the next run
+  // replays everything.
+  incr::IncrRunStats S3;
+  for (const engine::VerifyReport &Rep : R.run(S3))
+    EXPECT_TRUE(Rep.Cached) << Rep.Func;
+  EXPECT_EQ(S3.verified(), 0u);
+  EXPECT_EQ(S3.Invalidated, 0u);
+}
+
+TEST_F(IncrTest, SpecConjunctDeleteOnUsedSideReverifies) {
+  deleteOnUsedSideReverifies(/*Shared=*/false);
+}
+
+TEST_F(IncrTest, SpecConjunctDeleteOnUsedSideReverifiesShared) {
+  deleteOnUsedSideReverifies(/*Shared=*/true);
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,8 +5,8 @@
 // opaque callees), the static triage tier (verdict identity with the
 // executor, byte stability across worker counts, never-stored verdicts),
 // the summary-powered lints (W008 de-opaqued through predicate footprints,
-// W009 unsafe-escape, W010 recursion-without-variant), the Side::Summary
-// incremental cache (warm reuse, SCC-exact invalidation), and the generic
+// W009 unsafe-escape, W010 recursion-without-variant), summaries under
+// incremental runs (recomputed, identical to a plain run), and the generic
 // dataflow framework (loops, nested back-edges, unreachable-then-rejoined
 // blocks, fixpoint termination, deterministic iteration order).
 //
@@ -598,13 +598,12 @@ TEST_F(InterprocTest, TriageByteStableAcrossWorkerCounts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Incremental summary cache (Side::Summary)
+// Summaries under incremental runs
 //===----------------------------------------------------------------------===//
 
 /// Self-contained call-chain env: a -> b -> c plus an unrelated d. \p EditC
 /// rewrites c's body (same meaning, different shape), so a rebuild with it
-/// set edits exactly c — and must invalidate exactly the summaries whose
-/// closures reach c (a, b, c), never d's.
+/// set edits exactly c, whose summary a's and b's closures reach.
 struct ChainBundle {
   rmir::Program Prog;
   PredTable Preds;
@@ -678,7 +677,7 @@ struct ChainBundle {
   }
 };
 
-TEST(InterprocIncrTest, WarmRunReusesSummariesAndEditInvalidatesSccClosure) {
+TEST(InterprocIncrTest, WarmAndEditedRunsRecomputeTheSameSummaries) {
   std::string Path = ::testing::TempDir() + "gilr_interproc_summaries.prf";
   std::remove(Path.c_str());
   const std::vector<std::string> Names = {"a", "b", "c", "d"};
@@ -687,42 +686,30 @@ TEST(InterprocIncrTest, WarmRunReusesSummariesAndEditInvalidatesSccClosure) {
   Inc.Enabled = true;
   Inc.StorePath = Path;
 
-  {
-    // Cold: every summary is computed and recorded.
-    ChainBundle L(false);
+  // Cold, warm (identical rebuild), then with c edited: every incremental
+  // run recomputes the summary table, so its analysis matches a plain run
+  // over the same program.
+  for (bool EditC : {false, false, true}) {
+    SCOPED_TRACE(EditC ? "edited" : "unedited");
+    std::string Plain;
+    {
+      ChainBundle L(EditC);
+      VerifEnv Env = L.env();
+      Verifier V(Env);
+      (void)V.verifyAll(Names, SC);
+      Plain = V.lastAnalysis().renderJson();
+    }
+    ChainBundle L(EditC);
     VerifEnv Env = L.env();
     Verifier V(Env);
     incr::IncrRunStats St;
     std::vector<VerifyReport> Rs = V.verifyAll(Names, SC, Inc, &St);
     for (const VerifyReport &R : Rs)
       EXPECT_TRUE(R.Ok) << R.Func << (R.Errors.empty() ? "" : ": " + R.Errors.front());
-    EXPECT_EQ(St.SummariesComputed, 4u);
-    EXPECT_EQ(St.SummariesReused, 0u);
-  }
-  {
-    // Identical rebuild: every summary replays from the store.
-    ChainBundle L(false);
-    VerifEnv Env = L.env();
-    Verifier V(Env);
-    incr::IncrRunStats St;
-    std::vector<VerifyReport> Rs = V.verifyAll(Names, SC, Inc, &St);
-    for (const VerifyReport &R : Rs)
-      EXPECT_TRUE(R.Ok) << R.Func << (R.Errors.empty() ? "" : ": " + R.Errors.front());
-    EXPECT_EQ(St.SummariesComputed, 0u);
-    EXPECT_EQ(St.SummariesReused, 4u);
-  }
-  {
-    // Edit c: exactly the reverse-reachable summaries (a, b, c) recompute;
-    // the unrelated d replays.
-    ChainBundle L(true);
-    VerifEnv Env = L.env();
-    Verifier V(Env);
-    incr::IncrRunStats St;
-    std::vector<VerifyReport> Rs = V.verifyAll(Names, SC, Inc, &St);
-    for (const VerifyReport &R : Rs)
-      EXPECT_TRUE(R.Ok) << R.Func << (R.Errors.empty() ? "" : ": " + R.Errors.front());
-    EXPECT_EQ(St.SummariesComputed, 3u);
-    EXPECT_EQ(St.SummariesReused, 1u);
+    metrics::InterprocReport IP = metrics::Registry::get().interprocReport();
+    EXPECT_TRUE(IP.Valid);
+    EXPECT_EQ(IP.FnSummaries, 4u);
+    EXPECT_EQ(V.lastAnalysis().renderJson(), Plain);
   }
   std::remove(Path.c_str());
 }

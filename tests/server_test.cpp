@@ -2,9 +2,10 @@
 //
 // The verification-as-a-service contract:
 //
-//  * the content-addressed SharedDirBackend round-trips records, degrades
-//    corruption and foreign files to misses, enforces its size budget in
-//    LRU order (pinned keys exempt), and its GC is idempotent;
+//  * the content-addressed SharedDirBackend round-trips records, replaces
+//    a record when a put for its key brings new bytes, degrades corruption
+//    and foreign files to misses, enforces its size budget in LRU order
+//    (pinned keys exempt), and its GC is idempotent;
 //  * two backends over the same directory (two daemons, or a daemon and a
 //    CI job) share records without torn reads under concurrent get/put;
 //  * the gilr-server-v1 protocol round-trips requests and rejects
@@ -104,8 +105,8 @@ TEST(SharedDirBackend, PutGetRoundTripAndMiss) {
   EXPECT_EQ(Ob.Name, "f");
   EXPECT_EQ(Ob.Blob, "verdict:f");
 
-  // A second put of the same key is first-writer-wins (skipped, not an
-  // error); a second backend over the same directory sees the record.
+  // A second put of the same bytes is skipped (not an error); a second
+  // backend over the same directory sees the record.
   EXPECT_TRUE(B.put(K, Blob));
   incr::SharedDirBackend B2(C);
   ASSERT_TRUE(B2.get(K, Got));
@@ -115,6 +116,33 @@ TEST(SharedDirBackend, PutGetRoundTripAndMiss) {
   EXPECT_EQ(St.Puts, 1u);
   EXPECT_EQ(St.PutsSkipped, 1u);
   EXPECT_GE(St.Hits, 1u);
+}
+
+TEST(SharedDirBackend, PutWithNewBytesReplacesTheRecord) {
+  incr::SharedDirConfig C;
+  C.Dir = tempDir("replace");
+  incr::SharedDirBackend B(C);
+  incr::CacheKey K = incr::obligationCacheKey(incr::Side::Unsafe, "f", 1, 42);
+  std::string Old = sampleBlob("f", 1);
+  ASSERT_TRUE(B.put(K, Old));
+
+  // The same obligation re-proved after a dependency edit: same key (the
+  // dependency fingerprints are not part of it), different bytes.
+  incr::StoredObligation Ob;
+  ASSERT_TRUE(incr::decodeObligationRecord(Old, Ob));
+  Ob.Deps.push_back({deps::Kind::Spec, "g", 7, false, {}});
+  std::string New = incr::encodeObligationRecord(Ob);
+  ASSERT_NE(New, Old);
+  ASSERT_TRUE(B.put(K, New));
+
+  std::string Got;
+  ASSERT_TRUE(B.get(K, Got));
+  EXPECT_EQ(Got, New);
+  incr::SharedDirBackend Fresh(C);
+  ASSERT_TRUE(Fresh.get(K, Got));
+  EXPECT_EQ(Got, New);
+  EXPECT_EQ(B.stats().Puts, 2u);
+  EXPECT_EQ(B.stats().PutsSkipped, 0u);
 }
 
 TEST(SharedDirBackend, CorruptionAndForeignFilesReadAsMisses) {
@@ -241,25 +269,6 @@ TEST(SharedDirBackend, ConcurrentGetPutAcrossTwoBackends) {
     EXPECT_TRUE(A.get(K, Got)) << Name;
     EXPECT_TRUE(B.get(K, Got)) << Name;
   }
-}
-
-TEST(LocalStoreBackend, AdaptsTheAppendLog) {
-  std::string Path = ::testing::TempDir() + "gilr_server_localstore.prf";
-  std::remove(Path.c_str());
-  incr::LocalStoreBackend B(Path);
-  incr::CacheKey K = incr::obligationCacheKey(incr::Side::Unsafe, "f", 1, 42);
-  std::string Got;
-  EXPECT_FALSE(B.get(K, Got));
-  ASSERT_TRUE(B.put(K, sampleBlob("f", 1)));
-  ASSERT_TRUE(B.get(K, Got));
-  EXPECT_EQ(Got, sampleBlob("f", 1));
-  ASSERT_TRUE(B.flush());
-
-  // A fresh backend over the flushed file still serves the record.
-  incr::LocalStoreBackend B2(Path);
-  ASSERT_TRUE(B2.get(K, Got));
-  EXPECT_EQ(Got, sampleBlob("f", 1));
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -89,8 +89,7 @@ TEST(TelemetrySchema, TopLevelKeysAreExactlyTheDocumentedSet) {
         "incremental.verified", "incremental.salvaged",
         "incremental.implied", "incremental.salvage_queries",
         "incremental.compactions", "interproc.fn_summaries",
-        "interproc.pred_summaries", "interproc.summaries_computed",
-        "interproc.summaries_reused", "interproc.triaged_static",
+        "interproc.pred_summaries", "interproc.triaged_static",
         "interproc.seconds"}) {
     json::ValuePtr V = Doc->at(Path);
     ASSERT_TRUE(V) << Path;
