@@ -8,7 +8,8 @@
 //     or lemma edit, measured twice — with semantic salvage (implication
 //     queries keep the cached verdicts) and with blanket invalidation
 //     (every dependent re-proves) — and their ratio, the salvage payoff;
-//   * proof-store overhead: load and flush wall time, and the file size.
+//   * proof-store overhead: the solver-block load and the session flush
+//     wall time, and the bytes of the store's record files.
 //
 // A warm run must re-prove zero obligations, a salvage run must re-prove
 // zero and salvage all dependents, and the generated multi-module suite
@@ -20,7 +21,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "incr/ProofStore.h"
 #include "incr/Session.h"
 #include "rmir/Builder.h"
 #include "rustlib/Clients.h"
@@ -33,13 +33,15 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
 
 using namespace gilr;
 using namespace gilr::rustlib;
+
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -119,15 +121,23 @@ TimedRun best(const std::function<void()> &Reset,
   return Best;
 }
 
-/// Store load / flush overhead, measured on the store the suite produced.
-void measureStoreOverhead(SuiteResult &Suite, const std::string &Path) {
+/// Store overhead, measured on the store directory the suite produced: the
+/// solver-block get of a fresh session (load), the end of a warm run in
+/// that session (the same entries handed back and flushed, a skipped put),
+/// and the bytes of the record files under objects/.
+void measureStoreOverhead(SuiteResult &Suite, const incr::IncrConfig &Inc,
+                          const std::function<engine::VerifEnv()> &MakeEnv,
+                          const creusot::PearliteSpecTable *Contracts) {
   for (int Rep = 0; Rep != Repetitions; ++Rep) {
-    incr::ProofStore P(Path);
+    engine::VerifEnv Env = MakeEnv();
+    incr::Session Sess(Inc, Env, Contracts);
     double Start = now();
-    bool Loaded = P.load();
+    std::vector<SavedQueryVerdict> Entries = Sess.solverEntriesToLoad();
     double Load = now() - Start;
+    bool Loaded = !Entries.empty();
     Start = now();
-    bool Flushed = Loaded && P.flush();
+    Sess.saveSolverEntries(std::move(Entries));
+    bool Flushed = Sess.flush();
     double Flush = now() - Start;
     if (!Loaded || !Flushed)
       continue;
@@ -136,12 +146,12 @@ void measureStoreOverhead(SuiteResult &Suite, const std::string &Path) {
     if (Rep == 0 || Flush < Suite.StoreFlushSeconds)
       Suite.StoreFlushSeconds = Flush;
   }
-  if (std::FILE *F = std::fopen(Path.c_str(), "rb")) {
-    std::fseek(F, 0, SEEK_END);
-    long Size = std::ftell(F);
-    Suite.StoreBytes = Size > 0 ? static_cast<std::size_t>(Size) : 0;
-    std::fclose(F);
-  }
+  std::error_code EC;
+  fs::path Objects = fs::path(Inc.StorePath) / "objects";
+  for (const fs::directory_entry &E :
+       fs::recursive_directory_iterator(Objects, EC))
+    if (E.is_regular_file(EC))
+      Suite.StoreBytes += E.file_size(EC);
 }
 
 std::string fmt(double V, const char *Spec = "%.6f") {
@@ -209,18 +219,13 @@ void printSuite(const SuiteResult &S) {
 }
 
 std::string storePath(const std::string &Suite) {
-  return "bench_incr_" + Suite + ".prf";
+  return "bench_incr_" + Suite + ".store";
 }
 
-std::string readFileBytes(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(In),
-                     std::istreambuf_iterator<char>());
-}
-
-void writeFileBytes(const std::string &Path, const std::string &Bytes) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+/// Replaces the store directory \p To with a copy of \p From.
+void copyStore(const std::string &From, const std::string &To) {
+  fs::remove_all(To);
+  fs::copy(From, To, fs::copy_options::recursive);
 }
 
 /// The generated multi-module program of the edit-to-verdict benchmark: one
@@ -350,10 +355,11 @@ int main(int argc, char **argv) {
       return D.run(Funcs, Clients, C, Inc, &Stats).ok();
     };
 
-    Suite.Cold = best([&] { std::remove(Path.c_str()); }, RunOnce);
+    Suite.Cold = best([&] { fs::remove_all(Path); }, RunOnce);
     // The cold best-of loop leaves a fully populated store behind.
     Suite.Warm = best([] {}, RunOnce);
-    measureStoreOverhead(Suite, Path);
+    measureStoreOverhead(
+        Suite, Inc, [&] { return Lib->env(); }, &Lib->Contracts);
 
     // Single-lemma edit: conjoin a LinArith-true but syntactically
     // irreducible fact onto the extraction lemma's requirement. Meaning is
@@ -367,8 +373,9 @@ int main(int argc, char **argv) {
       Expr Z = mkVar("incr$edit", Sort::Int);
       Ex.Requires = mkAnd(Old, mkLe(Z, mkAdd(Z, mkInt(1))));
       Suite.HasEdit = true;
-      std::string WarmStore = readFileBytes(Path);
-      auto ResetStore = [&] { writeFileBytes(Path, WarmStore); };
+      const std::string WarmStore = Path + ".warm";
+      copyStore(Path, WarmStore);
+      auto ResetStore = [&] { copyStore(WarmStore, Path); };
       Suite.Edit = best(ResetStore, RunOnce);
       Suite.Edit.Ok = Suite.Edit.Ok && Suite.Edit.Stats.verified() == 0 &&
                       Suite.Edit.Stats.salvaged() >= 1;
@@ -387,11 +394,12 @@ int main(int argc, char **argv) {
                              Suite.BlanketEdit.Stats.verified() <
                                  Suite.Obligations;
       Ex.Requires = Old;
+      fs::remove_all(WarmStore);
     }
 
     printSuite(Suite);
     Suites.push_back(std::move(Suite));
-    std::remove(Path.c_str());
+    fs::remove_all(Path);
   }
 
   {
@@ -419,13 +427,13 @@ int main(int argc, char **argv) {
       return true;
     };
 
-    Suite.Cold = best([&] { std::remove(Path.c_str()); }, RunOnce);
+    Suite.Cold = best([&] { fs::remove_all(Path); }, RunOnce);
     Suite.Warm = best([] {}, RunOnce);
-    measureStoreOverhead(Suite, Path);
+    measureStoreOverhead(Suite, Inc, [&] { return Lib->env(); }, nullptr);
 
     printSuite(Suite);
     Suites.push_back(std::move(Suite));
-    std::remove(Path.c_str());
+    fs::remove_all(Path);
   }
 
   {
@@ -460,9 +468,9 @@ int main(int argc, char **argv) {
       return RunWith(Inc, Stats);
     };
 
-    Suite.Cold = best([&] { std::remove(Path.c_str()); }, RunOnce);
+    Suite.Cold = best([&] { fs::remove_all(Path); }, RunOnce);
     Suite.Warm = best([] {}, RunOnce);
-    measureStoreOverhead(Suite, Path);
+    measureStoreOverhead(Suite, Inc, [&] { return Gen.env(); }, nullptr);
 
     // The conjunct edit, applied once; both edit runs restart from the
     // pristine warm store (a salvage run refreshes the records on disk).
@@ -473,8 +481,9 @@ int main(int argc, char **argv) {
       Parts[1] = gilsonite::pure(mkLe(XV, mkInt(999)));
       Sp->Pre = gilsonite::star(std::move(Parts));
       Suite.HasEdit = true;
-      std::string WarmStore = readFileBytes(Path);
-      auto ResetStore = [&] { writeFileBytes(Path, WarmStore); };
+      const std::string WarmStore = Path + ".warm";
+      copyStore(Path, WarmStore);
+      auto ResetStore = [&] { copyStore(WarmStore, Path); };
       Suite.Edit = best(ResetStore, RunOnce);
       // Every obligation must be salvaged, none re-proved.
       Suite.Edit.Ok = Suite.Edit.Ok && Suite.Edit.Stats.verified() == 0 &&
@@ -489,11 +498,12 @@ int main(int argc, char **argv) {
       Suite.BlanketEdit.Ok = Suite.BlanketEdit.Ok &&
                              Suite.BlanketEdit.Stats.verified() ==
                                  Suite.Obligations;
+      fs::remove_all(WarmStore);
     }
 
     printSuite(Suite);
     Suites.push_back(std::move(Suite));
-    std::remove(Path.c_str());
+    fs::remove_all(Path);
   }
 
   bool AllOk = true;

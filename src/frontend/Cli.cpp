@@ -13,6 +13,7 @@
 #include "support/SourceMgr.h"
 #include "support/StringUtils.h"
 
+#include <filesystem>
 #include <sstream>
 
 using namespace gilr;
@@ -41,8 +42,8 @@ const char *Usage =
     "  --json              machine-readable output (one object per file;\n"
     "                      an array when several files are given)\n"
     "  --jobs N            scheduler worker threads for verify (default 1)\n"
-    "  --incr-store PATH   persistent proof store for verify\n"
-    "  --shared-cache DIR  shared content-addressed proof cache for verify\n"
+    "  --incr-store DIR    persistent proof-store directory for verify\n"
+    "                      (shared safely with other runs and gilrd)\n"
     "  --Werror            promote analysis warnings to errors (lint/verify)\n"
     "  --explain CODE      print the registry entry for a diagnostic code\n"
     "                      (e.g. --explain GILR-W008; no files needed)\n"
@@ -69,7 +70,6 @@ struct CliOptions {
   bool Json = false;
   unsigned Jobs = 1;
   std::string IncrStore;
-  std::string SharedCache;
   bool Werror = false;
   std::string Explain;
   // fmt
@@ -244,9 +244,8 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
   sched::SchedulerConfig SC;
   SC.Threads = Opt.Jobs;
   incr::IncrConfig IC;
-  IC.Enabled = !Opt.IncrStore.empty() || !Opt.SharedCache.empty();
+  IC.Enabled = !Opt.IncrStore.empty();
   IC.StorePath = Opt.IncrStore;
-  IC.SharedCacheDir = Opt.SharedCache;
   incr::IncrRunStats Stats;
   hybrid::HybridReport Report =
       Driver.run(UnsafeFuncs, Clients, SC, IC, &Stats);
@@ -274,7 +273,6 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
                  std::to_string(Stats.SalvageQueries) +
                  ", \"shared_hits\": " + std::to_string(Stats.SharedHits) +
                  ", \"shared_puts\": " + std::to_string(Stats.SharedPuts) +
-                 ", \"compactions\": " + std::to_string(Stats.Compactions) +
                  "}, \"interproc\": {\"triaged_static\": " +
                  std::to_string(Stats.TriagedStatic) + "}";
     R.Json = jsonHead(Opt, Path) + ", \"exit\": " + std::to_string(R.Exit) +
@@ -290,8 +288,7 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
           << Stats.verified() << " verified, " << Stats.Invalidated
           << " invalidated, " << Stats.Salvaged << " salvaged, "
           << Stats.Implied << " implied, " << Stats.SharedHits
-          << " shared hits, " << Stats.SharedPuts << " shared puts, "
-          << Stats.Compactions << " compactions\n";
+          << " shared hits, " << Stats.SharedPuts << " shared puts\n";
       Out << "interproc: " << Stats.TriagedStatic << " triaged static\n";
     }
   }
@@ -378,12 +375,6 @@ int gilr::frontend::runCli(const std::vector<std::string> &Args,
         return ExitParseError;
       }
       Opt.IncrStore = Args[++I];
-    } else if (A == "--shared-cache") {
-      if (I + 1 >= Args.size()) {
-        Err << "gilr: --shared-cache needs a value\n" << Usage;
-        return ExitParseError;
-      }
-      Opt.SharedCache = Args[++I];
     } else if (A == "--Werror") {
       Opt.Werror = true;
     } else if (A == "--explain") {
@@ -474,6 +465,16 @@ int gilr::frontend::runCli(const std::vector<std::string> &Args,
   }
   if (Opt.Command == "client")
     return runClientCommand(Opt, Out, Err);
+  // The store is a directory. Anything else already at the path is refused:
+  // a run over it could neither read nor write a single record.
+  std::error_code EC;
+  if (Opt.Command == "verify" && !Opt.IncrStore.empty() &&
+      std::filesystem::exists(Opt.IncrStore, EC) &&
+      !std::filesystem::is_directory(Opt.IncrStore, EC)) {
+    Err << "gilr: --incr-store '" << Opt.IncrStore
+        << "' exists and is not a directory\n";
+    return ExitParseError;
+  }
 
   int Exit = ExitOk;
   std::vector<std::string> JsonParts;

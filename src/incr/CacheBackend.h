@@ -1,8 +1,8 @@
-//===- incr/CacheBackend.h - Content-addressed proof-cache backends --------===//
+//===- incr/CacheBackend.h - The content-addressed proof store ------------===//
 ///
 /// \file
-/// The storage abstraction behind incr::Session: a content-addressed cache
-/// of obligation verdicts keyed by the obligation's identity *and* the
+/// The proof store behind incr::Session: a content-addressed directory of
+/// obligation verdicts keyed by the obligation's identity *and* the
 /// fingerprints the verdict was produced under — (side, name, self
 /// fingerprint, configuration fingerprint) hashed into a 128-bit CacheKey.
 /// Because the current fingerprints are part of the key, a get against the
@@ -12,16 +12,17 @@
 /// fingerprints are not part of the key: after a dependency edit the same
 /// key receives a record with new bytes, and a put replaces the stored one.
 ///
-/// The implementation, SharedDirBackend, is a filesystem directory shared
-/// by several daemons or CI jobs: one file per record under
-/// objects/<hh>/<hex>.rec, written atomically (tmp + rename, safe against
-/// concurrent writers), read mtimes refreshed on hits so the size-budgeted
-/// GC evicts in LRU order. Keys pinned during a run are never evicted by
-/// that run's GC.
+/// SharedDirBackend keeps one checksummed file per record under
+/// objects/<hh>/<hex>.rec, so one directory serves `gilr verify
+/// --incr-store`, several gilrd daemons and CI jobs alike: a record read
+/// while another process rewrites it, or torn by a crash, reads as a miss,
+/// never as a wrong verdict. Gets refresh the record's mtime so the
+/// size-budgeted GC evicts in LRU order; keys pinned during a run are never
+/// evicted by that run's GC.
 ///
-/// Blobs are ProofStore obligation records
-/// (encodeObligationRecord/decodeObligationRecord), so the local store and
-/// the shared cache share one codec and one format version.
+/// Blobs are the records of incr/ProofStore.h: obligation records under
+/// obligationCacheKey, and one solver-entry block under the reserved
+/// SolverBlockCacheKey.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +33,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -60,62 +60,32 @@ struct CacheKey {
 CacheKey obligationCacheKey(Side S, const std::string &Name, uint64_t SelfFp,
                             uint64_t ConfigFp);
 
+/// The reserved key of the solver-entry block (Session::saveSolverEntries).
+/// Obligation keys are hash outputs, so none takes this fixed value.
+constexpr CacheKey SolverBlockCacheKey{0, 0};
+
 /// Counters of one backend instance (monotonic over its lifetime).
 struct CacheBackendStats {
   uint64_t Gets = 0;
   uint64_t Hits = 0;
   uint64_t Puts = 0;
-  /// Puts skipped because the stored record already holds the same bytes
-  /// or the backend is read-only.
+  /// Puts skipped because the stored record already holds the same bytes.
   uint64_t PutsSkipped = 0;
   uint64_t Evictions = 0;
   uint64_t GcRuns = 0;
-  /// Directory payload bytes after the last GC (SharedDirBackend only).
+  /// Directory payload bytes after the last GC.
   uint64_t Bytes = 0;
-  /// Records after the last GC (SharedDirBackend only).
+  /// Records after the last GC.
   uint64_t Entries = 0;
-};
-
-/// Abstract content-addressed get/put store. Implementations are
-/// thread-safe: scheduler workers and daemon request handlers call
-/// get/put/pin concurrently.
-class CacheBackend {
-public:
-  virtual ~CacheBackend() = default;
-
-  /// A short stable name for telemetry ("shared-dir").
-  virtual const char *kind() const = 0;
-
-  /// Fills \p Blob with the record stored under \p K. A miss (false) is
-  /// never an error: corrupt, torn or concurrently evicted records read as
-  /// misses.
-  virtual bool get(const CacheKey &K, std::string &Blob) = 0;
-
-  /// Stores \p Blob under \p K, replacing a record with different bytes.
-  /// Returns false only on I/O failure; a skipped write (same bytes already
-  /// stored, read-only backend) succeeds.
-  virtual bool put(const CacheKey &K, const std::string &Blob) = 0;
-
-  /// Marks \p K as referenced by the current run: the backend's GC must
-  /// not evict it while this instance lives.
-  virtual void pin(const CacheKey &K) { (void)K; }
-
-  /// Persists pending state and runs maintenance (the SharedDirBackend's
-  /// size-budget GC). Returns false on I/O failure.
-  virtual bool flush() { return true; }
-
-  virtual CacheBackendStats stats() const = 0;
 };
 
 /// Configuration of a SharedDirBackend.
 struct SharedDirConfig {
   /// Root directory (created on demand). Records live under objects/.
   std::string Dir;
-  /// Payload size budget in bytes enforced by the GC at flush time
-  /// (0 = unlimited, GC only drops stale temp files).
+  /// Payload size budget in bytes enforced by gc() (0 = unlimited, GC
+  /// only drops stale temp files).
   uint64_t SizeBudgetBytes = 0;
-  /// Serve gets but skip puts and GC (CI replay against a shared cache).
-  bool ReadOnly = false;
   /// In-memory write-through cache of record blobs, so a resident daemon
   /// serves repeat gets without file I/O. 0 disables it.
   std::size_t MemCacheEntries = 4096;
@@ -129,28 +99,41 @@ struct SharedDirConfig {
 /// the file name the remaining 30. Each record file carries the magic
 /// "GILRCAS1", a format version, the full key (guarding against renamed or
 /// misplaced files) and an FNV-1a checksum over the payload; any mismatch
-/// reads as a miss. Writes go to a unique temp file in the same directory
-/// and rename into place, so concurrent writers and readers never observe
-/// torn records; a put whose bytes equal the stored record writes nothing.
+/// reads as a miss. A new record goes to a unique temp file in the same
+/// directory and is renamed into place, so it appears whole; a stored
+/// record is overwritten in place, which is much cheaper than creating a
+/// file, and a reader that races the overwrite sees a checksum mismatch,
+/// i.e. a miss. A put whose bytes equal the stored record writes nothing.
 /// GC walks objects/, and while the payload total exceeds the budget
 /// evicts unpinned records oldest-mtime-first (gets refresh the mtime,
 /// making this LRU); it also removes temp files older than an hour
 /// (crashed writers). GC is idempotent: a second run with no intervening
 /// traffic evicts nothing.
-class SharedDirBackend final : public CacheBackend {
+///
+/// Thread-safe: scheduler workers and daemon request handlers call
+/// get/put/pin concurrently.
+class SharedDirBackend {
 public:
   explicit SharedDirBackend(SharedDirConfig Cfg);
 
-  const char *kind() const override { return "shared-dir"; }
-  bool get(const CacheKey &K, std::string &Blob) override;
-  bool put(const CacheKey &K, const std::string &Blob) override;
-  void pin(const CacheKey &K) override;
-  bool flush() override;
-  CacheBackendStats stats() const override;
+  /// Fills \p Blob with the record stored under \p K. A miss (false) is
+  /// never an error: corrupt, torn or concurrently evicted records read as
+  /// misses.
+  bool get(const CacheKey &K, std::string &Blob);
 
-  /// Runs the size-budget GC immediately (flush calls this). Exposed for
-  /// tests and the daemon's stats endpoint.
+  /// Stores \p Blob under \p K, replacing a record with different bytes.
+  /// Returns false only on I/O failure; a put of the stored bytes writes
+  /// nothing and succeeds.
+  bool put(const CacheKey &K, const std::string &Blob);
+
+  /// Marks \p K as referenced by the current run: GC must not evict it
+  /// while this instance lives.
+  void pin(const CacheKey &K);
+
+  /// Runs the size-budget GC. Returns false on I/O failure.
   bool gc();
+
+  CacheBackendStats stats() const;
 
   const SharedDirConfig &config() const { return Cfg; }
 

@@ -3,7 +3,6 @@
 #include "incr/ProofStore.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <tuple>
 
@@ -11,28 +10,6 @@ using namespace gilr;
 using namespace gilr::incr;
 
 namespace {
-
-constexpr char Magic[8] = {'G', 'I', 'L', 'R', 'P', 'R', 'F', '1'};
-// Version 6 dropped the interprocedural summary records of version 5:
-// summaries are recomputed every run. load() accepts this version only, so
-// an older store is a cold run that the first writable flush replaces.
-constexpr uint32_t FormatVersion = 6;
-constexpr uint8_t RecObligation = 1;
-constexpr uint8_t RecSolverBlock = 2;
-
-uint64_t fnv1a(const char *Data, std::size_t N, uint64_t H) {
-  for (std::size_t I = 0; I != N; ++I) {
-    H ^= static_cast<unsigned char>(Data[I]);
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
-uint64_t recordChecksum(uint8_t Type, const std::string &Payload) {
-  char T = static_cast<char>(Type);
-  uint64_t H = fnv1a(&T, 1, 0xcbf29ce484222325ull);
-  return fnv1a(Payload.data(), Payload.size(), H);
-}
 
 /// Appends fixed-width values to a byte string.
 class Writer {
@@ -178,12 +155,15 @@ bool gilr::incr::decodeObligationRecord(const std::string &Payload,
   return R.str(Ob.Blob) && R.done();
 }
 
-namespace {
-
-std::string encodeSolverBlock(const std::vector<SavedQueryVerdict> &Es) {
+std::string
+gilr::incr::encodeSolverBlock(std::vector<SavedQueryVerdict> Entries) {
+  std::sort(Entries.begin(), Entries.end(),
+            [](const SavedQueryVerdict &A, const SavedQueryVerdict &B) {
+              return std::tie(A.Fp, A.Fp2) < std::tie(B.Fp, B.Fp2);
+            });
   Writer W;
-  W.u32(static_cast<uint32_t>(Es.size()));
-  for (const SavedQueryVerdict &E : Es) {
+  W.u32(static_cast<uint32_t>(Entries.size()));
+  for (const SavedQueryVerdict &E : Entries) {
     W.u64(E.Fp);
     W.u64(E.Fp2);
     W.u8(static_cast<uint8_t>(E.V.R));
@@ -193,8 +173,8 @@ std::string encodeSolverBlock(const std::vector<SavedQueryVerdict> &Es) {
   return std::move(W.Out);
 }
 
-bool decodeSolverBlock(const std::string &Payload,
-                       std::vector<SavedQueryVerdict> &Out) {
+bool gilr::incr::decodeSolverBlock(const std::string &Payload,
+                                   std::vector<SavedQueryVerdict> &Out) {
   Reader R(Payload);
   uint32_t N;
   if (!R.u32(N))
@@ -213,6 +193,8 @@ bool decodeSolverBlock(const std::string &Payload,
   }
   return R.done();
 }
+
+namespace {
 
 void writeSolverStats(Writer &W, const SolverStats &S) {
   W.u64(S.SatQueries);
@@ -238,211 +220,6 @@ bool readSolverStats(Reader &R, SolverStats &S) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Load / flush
-//===----------------------------------------------------------------------===//
-
-bool ProofStore::load(bool AllowCompaction) {
-  Index.clear();
-  Solver.clear();
-  Truncated = false;
-  Dirty.clear();
-  SolverDirty = false;
-  DiskValid = false;
-
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-
-  char Head[8];
-  uint32_t Version = 0, Reserved = 0;
-  if (std::fread(Head, 1, sizeof Head, F) != sizeof Head ||
-      std::memcmp(Head, Magic, sizeof Magic) != 0 ||
-      std::fread(&Version, sizeof Version, 1, F) != 1 ||
-      Version != FormatVersion ||
-      std::fread(&Reserved, sizeof Reserved, 1, F) != 1) {
-    std::fclose(F);
-    return false;
-  }
-
-  // Superseded records: obligation records replaced by a later one for the
-  // same key, and solver blocks replaced by a later block. They are the
-  // growth of the append-log that load-time compaction reclaims.
-  uint64_t Superseded = 0;
-  for (;;) {
-    uint8_t Type;
-    uint32_t Len;
-    if (std::fread(&Type, 1, 1, F) != 1)
-      break; // Clean EOF.
-    if (std::fread(&Len, sizeof Len, 1, F) != 1) {
-      Truncated = true;
-      break;
-    }
-    std::string Payload(Len, '\0');
-    uint64_t Checksum;
-    if ((Len && std::fread(&Payload[0], 1, Len, F) != Len) ||
-        std::fread(&Checksum, sizeof Checksum, 1, F) != 1 ||
-        Checksum != recordChecksum(Type, Payload)) {
-      Truncated = true;
-      break;
-    }
-    if (Type == RecObligation) {
-      StoredObligation Ob;
-      if (!decodeObligationRecord(Payload, Ob)) {
-        Truncated = true;
-        break;
-      }
-      // Append-log semantics: the last record for a key wins.
-      std::pair<uint8_t, std::string> Key{static_cast<uint8_t>(Ob.S),
-                                          Ob.Name};
-      if (!Index.emplace(Key, Ob).second) {
-        ++Superseded;
-        Index[Key] = std::move(Ob);
-      }
-    } else if (Type == RecSolverBlock) {
-      std::vector<SavedQueryVerdict> Es;
-      if (!decodeSolverBlock(Payload, Es)) {
-        Truncated = true;
-        break;
-      }
-      if (!Solver.empty())
-        ++Superseded;
-      Solver = std::move(Es);
-    }
-    // Unknown record types are skipped: forward-compatible within a
-    // version, since the checksum already validated the payload length.
-  }
-  std::fclose(F);
-
-  DiskValid = !Truncated;
-  if (AllowCompaction && (Superseded > 0 || Truncated)) {
-    // Rewrite the log as a compacted snapshot: supersede chains collapse
-    // and torn tails are dropped.
-    if (writeSnapshot()) {
-      ++Compactions;
-      DiskValid = true;
-    }
-  }
-  return true;
-}
-
-const StoredObligation *ProofStore::lookup(Side S,
-                                           const std::string &Name) const {
-  auto It = Index.find({static_cast<uint8_t>(S), Name});
-  return It == Index.end() ? nullptr : &It->second;
-}
-
-void ProofStore::put(StoredObligation Ob) {
-  std::pair<uint8_t, std::string> Key{static_cast<uint8_t>(Ob.S), Ob.Name};
-  Dirty.insert(Key);
-  Index[std::move(Key)] = std::move(Ob);
-}
-
-void ProofStore::setSolverEntries(std::vector<SavedQueryVerdict> Entries) {
-  // A fully warm run exports the same entries it loaded (possibly in a
-  // different shard order); comparing as sorted multisets keeps the flush a
-  // no-op then, so an unchanged store file stays byte-identical on disk.
-  auto Less = [](const SavedQueryVerdict &A, const SavedQueryVerdict &B) {
-    return std::tie(A.Fp, A.Fp2) < std::tie(B.Fp, B.Fp2);
-  };
-  auto Same = [](const SavedQueryVerdict &A, const SavedQueryVerdict &B) {
-    return A.Fp == B.Fp && A.Fp2 == B.Fp2 && A.V.R == B.V.R &&
-           A.V.Branches == B.V.Branches && A.V.TheoryChecks == B.V.TheoryChecks;
-  };
-  if (Entries.size() == Solver.size()) {
-    std::vector<SavedQueryVerdict> A = Entries, B = Solver;
-    std::sort(A.begin(), A.end(), Less);
-    std::sort(B.begin(), B.end(), Less);
-    bool Equal = true;
-    for (std::size_t I = 0; I != A.size() && Equal; ++I)
-      Equal = Same(A[I], B[I]);
-    if (Equal)
-      return;
-  }
-  Solver = std::move(Entries);
-  SolverDirty = true;
-}
-
-namespace {
-
-bool writeStoreRecord(std::FILE *F, uint8_t Type, const std::string &Payload) {
-  uint32_t Len = static_cast<uint32_t>(Payload.size());
-  uint64_t Checksum = recordChecksum(Type, Payload);
-  return std::fwrite(&Type, 1, 1, F) == 1 &&
-         std::fwrite(&Len, sizeof Len, 1, F) == 1 &&
-         (!Len || std::fwrite(Payload.data(), 1, Len, F) == Len) &&
-         std::fwrite(&Checksum, sizeof Checksum, 1, F) == 1;
-}
-
-} // namespace
-
-bool ProofStore::writeSnapshot() {
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return false;
-
-  uint32_t Version = FormatVersion, Reserved = 0;
-  bool Ok = std::fwrite(Magic, 1, sizeof Magic, F) == sizeof Magic &&
-            std::fwrite(&Version, sizeof Version, 1, F) == 1 &&
-            std::fwrite(&Reserved, sizeof Reserved, 1, F) == 1;
-  for (const auto &[Key, Ob] : Index)
-    Ok = Ok && writeStoreRecord(F, RecObligation, encodeObligationRecord(Ob));
-  if (!Solver.empty())
-    Ok = Ok && writeStoreRecord(F, RecSolverBlock, encodeSolverBlock(Solver));
-  Ok = std::fflush(F) == 0 && Ok;
-  Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok) {
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  Dirty.clear();
-  SolverDirty = false;
-  return true;
-}
-
-bool ProofStore::flush() {
-  if (DiskValid && Dirty.empty() && !SolverDirty)
-    return true; // Nothing changed since load: leave the file untouched.
-
-  if (DiskValid) {
-    // Cheap warm-loop write: append only the changed records. The log's
-    // last-record-wins semantics make them supersede the on-disk ones, and
-    // the next writable load compacts the chain away.
-    std::FILE *F = std::fopen(Path.c_str(), "ab");
-    if (!F)
-      return false;
-    bool Ok = true;
-    for (const auto &Key : Dirty) {
-      auto It = Index.find(Key);
-      if (It != Index.end())
-        Ok = Ok && writeStoreRecord(F, RecObligation,
-                                    encodeObligationRecord(It->second));
-    }
-    if (SolverDirty && !Solver.empty())
-      Ok = Ok &&
-           writeStoreRecord(F, RecSolverBlock, encodeSolverBlock(Solver));
-    Ok = std::fflush(F) == 0 && Ok;
-    Ok = std::fclose(F) == 0 && Ok;
-    if (Ok) {
-      Dirty.clear();
-      SolverDirty = false;
-      return true;
-    }
-    // A torn append degrades the next load to the valid prefix; fall back
-    // to the atomic snapshot path to leave a consistent file behind.
-  }
-
-  if (!writeSnapshot())
-    return false;
-  DiskValid = true;
-  return true;
-}
 
 //===----------------------------------------------------------------------===//
 // Report blobs

@@ -1,30 +1,14 @@
-//===- incr/ProofStore.h - Persistent proof-result store -------------------===//
+//===- incr/ProofStore.h - Proof-store record codecs ----------------------===//
 ///
 /// \file
-/// The on-disk cache of the incremental verification subsystem: obligation
-/// verdicts (full serialized reports, so a cached run reproduces the cold
-/// run's report byte-for-byte) keyed by stable fingerprints, plus the
-/// solver QueryCache entries of the producing run (keyed by the stable
-/// query fingerprint) to pre-warm the sched shards.
-///
-/// Format (little-endian host widths, version 6; a file with any other
-/// version loads as no store, i.e. a cold run, and the next writable flush
-/// replaces it):
-///
-///   magic "GILRPRF1" | u32 version | u32 reserved
-///   record*          where record = u8 type | u32 len | payload[len]
-///                                 | u64 fnv1a(type ++ payload)
-///
-/// Record types: 1 = obligation (append-log semantics: on load, the *last*
-/// record for an (side, name) pair wins), 2 = solver-entry block. Crash
-/// safety: \c load verifies the header and every record checksum, stopping
-/// at the first malformed/truncated record while keeping everything before
-/// it — a torn write degrades to a partially warm run, never to an error or
-/// a wrong verdict. \c flush appends only the records that changed since
-/// load when the on-disk log is intact (cheap warm-loop writes; superseded
-/// records accumulate and are dropped by a load-time compaction rewrite),
-/// and otherwise writes a full snapshot to "<path>.tmp" and renames it over
-/// the store atomically.
+/// The blob format of the proof store, the content-addressed directory of
+/// incr/CacheBackend.h: obligation records (the full serialized report, so
+/// a cached run reproduces the cold run's report byte-for-byte, plus the
+/// dependency fingerprints and clause signatures the verdict was produced
+/// under) and the solver-entry block (the QueryCache contents of the
+/// producing run, keyed by the stable query fingerprint, to pre-warm the
+/// sched shards). Every decoder is bounds-checked and returns false on
+/// malformed input, which the session treats as a miss.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +23,6 @@
 #include "solver/Solver.h"
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -77,64 +59,6 @@ struct StoredObligation {
   std::string Blob;
 };
 
-/// The store: an in-memory index over the on-disk append log.
-class ProofStore {
-public:
-  explicit ProofStore(std::string Path) : Path(std::move(Path)) {}
-
-  /// Reads the store file. Returns false when there is no usable store
-  /// (missing file, foreign magic, any version but the current one) — the
-  /// caller runs cold. A valid header followed by a torn tail loads the
-  /// valid prefix and reports \c truncated(). With \p AllowCompaction
-  /// (writable sessions), a log containing superseded records or a torn
-  /// tail is rewritten in place as a compacted snapshot — the GILRPRF1
-  /// append-log would otherwise grow without bound across sessions;
-  /// \c compactions() counts the rewrites.
-  bool load(bool AllowCompaction = false);
-
-  /// Whether the last \c load stopped early at a malformed record.
-  bool truncated() const { return Truncated; }
-
-  /// Number of load-time compaction rewrites performed (0 or 1 per load).
-  uint64_t compactions() const { return Compactions; }
-
-  const StoredObligation *lookup(Side S, const std::string &Name) const;
-
-  /// Inserts or replaces the verdict for (Ob.S, Ob.Name).
-  void put(StoredObligation Ob);
-
-  void setSolverEntries(std::vector<SavedQueryVerdict> Entries);
-  const std::vector<SavedQueryVerdict> &solverEntries() const {
-    return Solver;
-  }
-
-  /// Persists the store. When the on-disk log is intact this appends only
-  /// the records changed since \c load (append-log semantics make the new
-  /// records win on the next load); otherwise it writes a full snapshot to
-  /// "<path>.tmp" and renames it over the store atomically. Returns false
-  /// on I/O failure; the previous store file is left intact.
-  bool flush();
-
-  std::size_t size() const { return Index.size(); }
-  const std::string &path() const { return Path; }
-
-private:
-  bool writeSnapshot();
-
-  std::string Path;
-  std::map<std::pair<uint8_t, std::string>, StoredObligation> Index;
-  std::vector<SavedQueryVerdict> Solver;
-  bool Truncated = false;
-  /// Keys put() since the last load/flush (the append set), and whether the
-  /// solver block changed. DiskValid means the on-disk file is a current-
-  /// version log whose replayed state equals Index minus the dirty set, so
-  /// appending is safe.
-  std::set<std::pair<uint8_t, std::string>> Dirty;
-  bool SolverDirty = false;
-  bool DiskValid = false;
-  uint64_t Compactions = 0;
-};
-
 /// Report serialization. Every field round-trips (timing included, stored
 /// as raw IEEE-754 bits), so a warm run's report is byte-identical to the
 /// cold run that produced it, modulo the \c Cached marker the session sets
@@ -150,12 +74,17 @@ bool decodeSafeReport(const std::string &Blob, creusot::SafeReport &Out);
 std::string encodeLintVerdict(const analysis::EntityVerdict &V);
 bool decodeLintVerdict(const std::string &Blob, analysis::EntityVerdict &Out);
 
-/// Whole-record codec at the current format version, shared with the
-/// content-addressed cache backends (incr/CacheBackend.h): a backend blob
-/// is exactly a GILRPRF1 obligation record payload. The decoder is
-/// bounds-checked and returns false on malformed input.
+/// Whole-record codec: the payload of one obligation record file in the
+/// store directory.
 std::string encodeObligationRecord(const StoredObligation &Ob);
 bool decodeObligationRecord(const std::string &Payload, StoredObligation &Out);
+
+/// Solver-entry block codec. The encoder sorts the entries by (Fp, Fp2),
+/// so the same entries in any shard order give the same bytes and an
+/// unchanged block is never rewritten.
+std::string encodeSolverBlock(std::vector<SavedQueryVerdict> Entries);
+bool decodeSolverBlock(const std::string &Payload,
+                       std::vector<SavedQueryVerdict> &Out);
 
 } // namespace incr
 } // namespace gilr

@@ -19,58 +19,17 @@ constexpr uint64_t MissingEntityFp = 0x6d69'7373'696e'67ull; // "missing".
 
 Session::Session(const IncrConfig &Cfg, engine::VerifEnv &Env,
                  const creusot::PearliteSpecTable *Contracts)
-    : Cfg(Cfg), Env(Env), Contracts(Contracts), Store(Cfg.StorePath) {
+    : Cfg(Cfg), Env(Env), Contracts(Contracts) {
   ConfigFp = fpAutomation(Env.Auto, Env.Solv.MaxBranches);
   LintConfigFp = fpAnalysisConfig(Env.Lint, Env.Solv.MaxBranches);
-  if (!Cfg.StorePath.empty()) {
-    // Writable sessions compact the append-log on load (superseded records
-    // and torn tails dropped); read-only ones must not touch the file.
-    Stats.StoreLoaded = Store.load(/*AllowCompaction=*/!Cfg.ReadOnly);
-    Stats.StoreTruncated = Store.truncated();
-    Stats.Compactions = Store.compactions();
-    if (trace::enabled() && Stats.Compactions)
-      metrics::Registry::get().add("incr.compactions", Stats.Compactions);
-  }
   if (Cfg.Backend) {
-    Remote = Cfg.Backend;
-  } else if (!Cfg.SharedCacheDir.empty()) {
+    Store = Cfg.Backend;
+  } else if (!Cfg.StorePath.empty()) {
     SharedDirConfig SC;
-    SC.Dir = Cfg.SharedCacheDir;
-    SC.SizeBudgetBytes = Cfg.SharedCacheBudgetBytes;
-    SC.ReadOnly = Cfg.ReadOnly;
-    OwnedRemote = std::make_unique<SharedDirBackend>(std::move(SC));
-    Remote = OwnedRemote.get();
+    SC.Dir = Cfg.StorePath;
+    OwnedStore = std::make_unique<SharedDirBackend>(std::move(SC));
+    Store = OwnedStore.get();
   }
-}
-
-bool Session::fetchShared(Side S, const std::string &Name, uint64_t SelfFp,
-                          uint64_t CfgFp, StoredObligation &Out) {
-  if (!Remote)
-    return false;
-  CacheKey K = obligationCacheKey(S, Name, SelfFp, CfgFp);
-  // Pin regardless of the outcome: a concurrent GC must not evict the
-  // record between this get and the run's own put of the same key.
-  Remote->pin(K);
-  std::string Blob;
-  if (!Remote->get(K, Blob))
-    return false;
-  if (!decodeObligationRecord(Blob, Out))
-    return false;
-  // The key is derived from the record's identity; a blob whose decoded
-  // identity disagrees (corrupt share) must not masquerade as a hit.
-  return Out.S == S && Out.Name == Name && Out.SelfFp == SelfFp &&
-         Out.ConfigFp == CfgFp;
-}
-
-void Session::publishShared(const StoredObligation &Ob) {
-  if (!Remote || Cfg.ReadOnly)
-    return;
-  CacheKey K = obligationCacheKey(Ob.S, Ob.Name, Ob.SelfFp, Ob.ConfigFp);
-  Remote->pin(K);
-  Remote->put(K, encodeObligationRecord(Ob));
-  ++Stats.SharedPuts;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.shared_puts");
 }
 
 uint64_t Session::currentFp(const DepKey &Key) {
@@ -197,91 +156,98 @@ std::vector<StoredDep> Session::snapshotDeps(const std::set<DepKey> &Deps) {
   return Out;
 }
 
-void Session::refreshRecord(const StoredObligation &Ob, uint64_t SelfFp,
-                            const std::set<DepKey> &DepKeys) {
-  if (Cfg.ReadOnly)
-    return;
-  StoredObligation Fresh;
-  Fresh.S = Ob.S;
-  Fresh.Name = Ob.Name;
-  Fresh.SelfFp = SelfFp;
-  Fresh.ConfigFp = Ob.ConfigFp;
-  Fresh.Deps = snapshotDeps(DepKeys);
-  Fresh.Blob = Ob.Blob;
-  publishShared(Fresh);
-  Store.put(std::move(Fresh)); // Replaces Ob: the caller's pointer dies.
+uint64_t Session::lintSelfFp(const std::string &Func) {
+  Hasher H;
+  H.u64(currentFp(DepKey{deps::Kind::Function, Func}));
+  H.u64(currentFp(DepKey{deps::Kind::Spec, Func}));
+  return H.result();
 }
 
 namespace {
 
-/// Bumps the salvage counters for a non-Clean replay and reports to the
-/// metrics registry.
-void noteSalvage(IncrRunStats &Stats, bool ViaImplication) {
-  if (ViaImplication) {
-    ++Stats.Implied;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.implied");
-  } else {
-    ++Stats.Salvaged;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.salvaged");
-  }
+/// Bumps \p Counter and its named metrics-registry twin.
+void bump(uint64_t &Counter, const char *Metric) {
+  ++Counter;
+  if (trace::enabled())
+    metrics::Registry::get().add(Metric);
 }
 
 } // namespace
 
-bool Session::lookupUnsafe(const std::string &Func,
-                           engine::VerifyReport &Out) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  const StoredObligation *Ob = Store.lookup(Side::Unsafe, Func);
-  bool LocalInvalid = false;
-  if (Ob && (Ob->ConfigFp != ConfigFp || Ob->SelfFp != SelfFp)) {
-    LocalInvalid = true;
-    Ob = nullptr;
-  }
-  // Local miss: consult the shared backend under the *current*
-  // fingerprints. Its record, if any, was produced for byte-identical
-  // inputs; the dependency validation below still applies.
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob && fetchShared(Side::Unsafe, Func, SelfFp, ConfigFp, Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob) {
-    if (LocalInvalid)
-      ++Stats.Invalidated;
+bool Session::lookup(Side S, const std::string &Name, uint64_t SelfFp,
+                     const std::function<bool(const std::string &)> &Decode) {
+  if (!Store)
     return false;
-  }
-  DepsVerdict DV = checkDeps(*Ob, 'U');
+  uint64_t CfgFp = S == Side::Lint ? LintConfigFp : ConfigFp;
+  CacheKey K = obligationCacheKey(S, Name, SelfFp, CfgFp);
+  // Pin regardless of the outcome: a concurrent GC must not evict the
+  // record between this get and the run's own put of the same key.
+  Store->pin(K);
+  std::string Blob;
+  StoredObligation Ob;
+  // The key is derived from the record's identity; a blob whose decoded
+  // identity disagrees (a corrupt record) must not masquerade as a hit.
+  if (!Store->get(K, Blob) || !decodeObligationRecord(Blob, Ob) ||
+      Ob.S != S || Ob.Name != Name || Ob.SelfFp != SelfFp ||
+      Ob.ConfigFp != CfgFp)
+    return false;
+  const char FlightSide = S == Side::Unsafe ? 'U' : S == Side::Safe ? 'S' : 'L';
+  DepsVerdict DV = checkDeps(Ob, FlightSide);
   if (DV == DepsVerdict::Invalid) {
     ++Stats.Invalidated;
     return false;
   }
-  if (!decodeVerifyReport(Ob->Blob, Out))
+  if (!Decode(Ob.Blob))
     return false; // Malformed blob: treat as a miss, re-verify.
-  Out.Cached = true;
-  ++Stats.CachedUnsafe;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.cached");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-  }
+  if (S == Side::Lint)
+    bump(Stats.CachedLint, "incr.lint_cached");
+  else
+    bump(S == Side::Unsafe ? Stats.CachedUnsafe : Stats.CachedSafe,
+         "incr.cached");
+  bump(Stats.SharedHits, "incr.shared_hits");
   // The stored deps stay current (nothing changed), so the graph keeps
   // answering dependentsOf precisely on warm runs too.
   std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
+  for (const StoredDep &D : Ob.Deps)
     Deps.insert(DepKey{D.K, D.Name});
   if (DV != DepsVerdict::Clean) {
-    noteSalvage(Stats, DV == DepsVerdict::Implied);
-    refreshRecord(*Ob, SelfFp, Deps); // Ob dangles from here on.
-  } else if (FromShared && !Cfg.ReadOnly) {
-    Store.put(StoredObligation(Shared)); // Warm the local store too.
+    if (DV == DepsVerdict::Implied)
+      bump(Stats.Implied, "incr.implied");
+    else
+      bump(Stats.Salvaged, "incr.salvaged");
+    put(S, Name, SelfFp, Deps, std::move(Ob.Blob));
   }
-  Graph.record(ObligationId{Side::Unsafe, Func}, std::move(Deps));
+  Graph.record(ObligationId{S, Name}, std::move(Deps));
+  return true;
+}
+
+void Session::put(Side S, const std::string &Name, uint64_t SelfFp,
+                  const std::set<DepKey> &Deps, std::string Blob) {
+  if (!Store)
+    return;
+  StoredObligation Ob;
+  Ob.S = S;
+  Ob.Name = Name;
+  Ob.SelfFp = SelfFp;
+  Ob.ConfigFp = S == Side::Lint ? LintConfigFp : ConfigFp;
+  Ob.Deps = snapshotDeps(Deps);
+  Ob.Blob = std::move(Blob);
+  CacheKey K = obligationCacheKey(S, Name, SelfFp, Ob.ConfigFp);
+  Store->pin(K);
+  Store->put(K, encodeObligationRecord(Ob));
+  bump(Stats.SharedPuts, "incr.shared_puts");
+}
+
+bool Session::lookupUnsafe(const std::string &Func,
+                           engine::VerifyReport &Out) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  if (!lookup(Side::Unsafe, Func,
+              currentFp(DepKey{deps::Kind::Function, Func}),
+              [&](const std::string &Blob) {
+                return decodeVerifyReport(Blob, Out);
+              }))
+    return false;
+  Out.Cached = true;
   return true;
 }
 
@@ -289,69 +255,21 @@ void Session::recordUnsafe(const std::string &Func,
                            const std::set<DepKey> &Deps,
                            const engine::VerifyReport &R) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.VerifiedUnsafe;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.verified");
+  bump(Stats.VerifiedUnsafe, "incr.verified");
   Graph.record(ObligationId{Side::Unsafe, Func}, std::set<DepKey>(Deps));
   if (R.TimedOut)
     return; // Budget-degraded results are transient; never cache them.
-  StoredObligation Ob;
-  Ob.S = Side::Unsafe;
-  Ob.Name = Func;
-  Ob.SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  Ob.ConfigFp = ConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodeVerifyReport(R);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
+  put(Side::Unsafe, Func, currentFp(DepKey{deps::Kind::Function, Func}), Deps,
+      encodeVerifyReport(R));
 }
 
 bool Session::lookupSafe(const creusot::SafeFn &F, creusot::SafeReport &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t SelfFp = fpSafeFn(F);
-  const StoredObligation *Ob = Store.lookup(Side::Safe, F.Name);
-  bool LocalInvalid = false;
-  if (Ob && (Ob->ConfigFp != ConfigFp || Ob->SelfFp != SelfFp)) {
-    LocalInvalid = true;
-    Ob = nullptr;
-  }
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob && fetchShared(Side::Safe, F.Name, SelfFp, ConfigFp, Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob) {
-    if (LocalInvalid)
-      ++Stats.Invalidated;
-    return false;
-  }
-  DepsVerdict DV = checkDeps(*Ob, 'S');
-  if (DV == DepsVerdict::Invalid) {
-    ++Stats.Invalidated;
-    return false;
-  }
-  if (!decodeSafeReport(Ob->Blob, Out))
+  if (!lookup(Side::Safe, F.Name, fpSafeFn(F), [&](const std::string &Blob) {
+        return decodeSafeReport(Blob, Out);
+      }))
     return false;
   Out.Cached = true;
-  ++Stats.CachedSafe;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.cached");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-  }
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  if (DV != DepsVerdict::Clean) {
-    noteSalvage(Stats, DV == DepsVerdict::Implied);
-    refreshRecord(*Ob, SelfFp, Deps); // Ob dangles from here on.
-  } else if (FromShared && !Cfg.ReadOnly) {
-    Store.put(StoredObligation(Shared));
-  }
-  Graph.record(ObligationId{Side::Safe, F.Name}, std::move(Deps));
   return true;
 }
 
@@ -359,67 +277,22 @@ void Session::recordSafe(const creusot::SafeFn &F,
                          const std::set<DepKey> &Deps,
                          const creusot::SafeReport &R) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.VerifiedSafe;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.verified");
+  bump(Stats.VerifiedSafe, "incr.verified");
   Graph.record(ObligationId{Side::Safe, F.Name}, std::set<DepKey>(Deps));
   if (R.TimedOut)
     return;
-  StoredObligation Ob;
-  Ob.S = Side::Safe;
-  Ob.Name = F.Name;
-  Ob.SelfFp = fpSafeFn(F);
-  Ob.ConfigFp = ConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodeSafeReport(R);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
+  put(Side::Safe, F.Name, fpSafeFn(F), Deps, encodeSafeReport(R));
 }
 
 bool Session::lookupLint(const std::string &Func,
                          analysis::EntityVerdict &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  const StoredObligation *Ob = Store.lookup(Side::Lint, Func);
-  bool LocalInvalid = false;
-  if (Ob && (Ob->ConfigFp != LintConfigFp || Ob->SelfFp != SelfFp)) {
-    LocalInvalid = true;
-    Ob = nullptr;
-  }
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob && fetchShared(Side::Lint, Func, SelfFp, LintConfigFp, Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob) {
-    if (LocalInvalid)
-      ++Stats.Invalidated;
+  if (!lookup(Side::Lint, Func, lintSelfFp(Func),
+              [&](const std::string &Blob) {
+                return decodeLintVerdict(Blob, Out);
+              }))
     return false;
-  }
-  // Lint verdicts never salvage (diagnostics quote spec text), so only a
-  // Clean dependency set replays.
-  if (checkDeps(*Ob, 'L') != DepsVerdict::Clean) {
-    ++Stats.Invalidated;
-    return false;
-  }
-  if (!decodeLintVerdict(Ob->Blob, Out))
-    return false; // Malformed blob: treat as a miss, re-lint.
   Out.Cached = true;
-  ++Stats.CachedLint;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.lint_cached");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-    if (!Cfg.ReadOnly)
-      Store.put(StoredObligation(Shared));
-  }
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  Graph.record(ObligationId{Side::Lint, Func}, std::move(Deps));
   return true;
 }
 
@@ -427,49 +300,39 @@ void Session::recordLint(const std::string &Func,
                          const std::set<DepKey> &Deps,
                          const analysis::EntityVerdict &V) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.AnalyzedLint;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.lint_analyzed");
+  bump(Stats.AnalyzedLint, "incr.lint_analyzed");
   Graph.record(ObligationId{Side::Lint, Func}, std::set<DepKey>(Deps));
-  StoredObligation Ob;
-  Ob.S = Side::Lint;
-  Ob.Name = Func;
-  Ob.SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  Ob.ConfigFp = LintConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodeLintVerdict(V);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
+  put(Side::Lint, Func, lintSelfFp(Func), Deps, encodeLintVerdict(V));
 }
 
 void Session::noteTriagedStatic() {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.TriagedStatic;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.triaged_static");
+  bump(Stats.TriagedStatic, "incr.triaged_static");
 }
 
 std::vector<SavedQueryVerdict> Session::solverEntriesToLoad() const {
-  if (!Cfg.LoadSolverCache)
-    return {};
-  return Store.solverEntries();
+  std::vector<SavedQueryVerdict> Entries;
+  std::string Blob;
+  if (!Store)
+    return Entries;
+  Store->pin(SolverBlockCacheKey);
+  if (!Store->get(SolverBlockCacheKey, Blob) ||
+      !decodeSolverBlock(Blob, Entries))
+    Entries.clear(); // A corrupt block is a cold solver cache.
+  return Entries;
 }
 
 void Session::saveSolverEntries(std::vector<SavedQueryVerdict> Entries) {
   std::lock_guard<std::mutex> Lock(Mu);
-  if (!Cfg.SaveSolverCache)
-    return;
-  Store.setSolverEntries(std::move(Entries));
+  SolverBlock = encodeSolverBlock(std::move(Entries));
 }
 
 bool Session::flush() {
   std::lock_guard<std::mutex> Lock(Mu);
-  bool Ok = true;
-  // Only the session-owned backend is flushed (running its size-budget
-  // GC); an externally owned Cfg.Backend is the host's to maintain.
-  if (OwnedRemote && !Cfg.ReadOnly)
-    Ok = OwnedRemote->flush();
-  if (Cfg.ReadOnly || Cfg.StorePath.empty())
-    return Ok;
-  return Store.flush() && Ok;
+  if (!Store || !SolverBlock)
+    return true;
+  Store->pin(SolverBlockCacheKey);
+  bool Ok = Store->put(SolverBlockCacheKey, *SolverBlock);
+  SolverBlock.reset();
+  return Ok;
 }

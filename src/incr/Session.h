@@ -1,15 +1,15 @@
 //===- incr/Session.h - One incremental verification session ---------------===//
 ///
 /// \file
-/// The orchestration point of incremental verification: owns the proof
-/// store and the dependency graph for one run, answers the scheduler's
-/// "is this obligation's cached verdict still valid?" question, and records
-/// fresh results. An obligation's cached verdict is reused iff
+/// The orchestration point of incremental verification: opens the proof
+/// store (the content-addressed directory of incr/CacheBackend.h) and owns
+/// the dependency graph for one run, answers the scheduler's "is this
+/// obligation's cached verdict still valid?" question, and records fresh
+/// results. An obligation's cached verdict is reused iff
 ///
-///   * the store holds a record for it,
-///   * the configuration fingerprint (automation knobs + solver budget)
-///     matches,
-///   * its own entity's fingerprint matches, and
+///   * the store holds a record under its key — side, name, its own
+///     entity's current fingerprint and the current configuration
+///     fingerprint (automation knobs + solver budget), and
 ///   * *every* recorded dependency's current fingerprint matches the one it
 ///     had when the proof ran.
 ///
@@ -40,11 +40,12 @@
 #include "incr/CacheBackend.h"
 #include "incr/DepGraph.h"
 #include "incr/Fingerprint.h"
-#include "incr/ProofStore.h"
 #include "incr/SpecDiff.h"
 
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 namespace gilr {
 namespace incr {
@@ -55,35 +56,20 @@ struct IncrConfig {
   /// Master switch; when false the overloads fall through to the plain
   /// scheduler path and never touch the disk.
   bool Enabled = false;
-  /// The proof-store file. Created on first flush; a missing or corrupt
-  /// file means a cold run, never an error.
+  /// The proof-store directory (incr/CacheBackend.h), created on demand. A
+  /// missing directory or a corrupt record means a cold run for what it
+  /// held, never an error.
   std::string StorePath;
-  /// Pre-warm the scheduler's QueryCache shards with the persisted solver
-  /// entries.
-  bool LoadSolverCache = true;
-  /// Persist the QueryCache contents at the end of the run.
-  bool SaveSolverCache = true;
-  /// Use the store without writing it back (e.g. CI replay).
-  bool ReadOnly = false;
   /// Clause-level semantic salvage across spec edits (incr/SpecDiff.h).
   /// Off = blanket invalidation: any dependency fingerprint change
   /// re-verifies the dependent, the pre-salvage behaviour (the baseline
   /// bench_incr measures the edit-to-verdict speedup against).
   bool SemanticSalvage = true;
-  /// Shared content-addressed cache directory (incr/CacheBackend.h), the
-  /// second cache level behind the local store: local misses consult it,
-  /// fresh and salvaged verdicts are published to it. Empty = no shared cache. The
-  /// session owns the backend; ReadOnly above also makes it read-only.
-  std::string SharedCacheDir;
-  /// Size budget of the shared directory in bytes, enforced by its LRU GC
-  /// at flush time (0 = unlimited).
-  uint64_t SharedCacheBudgetBytes = 0;
-  /// Externally owned backend, overriding SharedCacheDir — the gilrd
-  /// daemon shares one resident backend across requests. Non-owning: the
-  /// session never flushes it (the owner runs GC on its own schedule), but
-  /// pins every key the run touches so a host-driven GC cannot evict them
-  /// mid-run.
-  CacheBackend *Backend = nullptr;
+  /// Externally owned store, overriding StorePath — the gilrd daemon shares
+  /// one resident backend across requests. Non-owning: the owner runs its
+  /// GC on its own schedule, and the session pins every key the run touches
+  /// so that GC cannot evict them mid-run.
+  SharedDirBackend *Backend = nullptr;
 };
 
 /// Counters of one incremental run.
@@ -100,7 +86,9 @@ struct IncrRunStats {
   /// trivially safe; the executor never ran). Bumped by the scheduler, not
   /// the session.
   uint64_t TriagedStatic = 0;
-  /// Store records found but rejected because a fingerprint changed.
+  /// Store records found under the obligation's key but rejected because a
+  /// dependency fingerprint moved. A changed body or configuration changes
+  /// the key itself, so it is a plain miss.
   uint64_t Invalidated = 0;
   /// Obligations replayed although a dependency fingerprint moved, because
   /// the edit touched no clause the proof relied on (zero solver work) /
@@ -109,16 +97,10 @@ struct IncrRunStats {
   uint64_t Implied = 0;
   /// Solver queries spent discharging salvage implications.
   uint64_t SalvageQueries = 0;
-  /// Load-time store compaction rewrites (superseded append-log records or
-  /// a torn tail dropped).
-  uint64_t Compactions = 0;
-  /// Verdicts replayed from the shared content-addressed backend after a
-  /// local-store miss (also counted in cached()/CachedLint), and fresh
-  /// verdicts published to it.
+  /// Records replayed from the store (proof and lint verdicts alike) and
+  /// records written to it (fresh verdicts and salvage refreshes).
   uint64_t SharedHits = 0;
   uint64_t SharedPuts = 0;
-  bool StoreLoaded = false;
-  bool StoreTruncated = false;
 
   uint64_t cached() const { return CachedUnsafe + CachedSafe; }
   uint64_t verified() const { return VerifiedUnsafe + VerifiedSafe; }
@@ -127,9 +109,10 @@ struct IncrRunStats {
 
 class Session {
 public:
-  /// Loads the store (if any). \p Contracts may be null for unsafe-only
-  /// runs (engine::Verifier::verifyAll); Contract deps then never validate
-  /// unless absent from the record.
+  /// Opens the store (Cfg.Backend, else a directory at Cfg.StorePath; with
+  /// neither every lookup misses and nothing persists). \p Contracts may be
+  /// null for unsafe-only runs (engine::Verifier::verifyAll); Contract deps
+  /// then never validate unless absent from the record.
   Session(const IncrConfig &Cfg, engine::VerifEnv &Env,
           const creusot::PearliteSpecTable *Contracts);
 
@@ -154,7 +137,9 @@ public:
   /// Pre-verification lint verdicts, cached like proofs but keyed by the
   /// analysis configuration fingerprint (incr::fpAnalysisConfig) instead of
   /// the automation one — toggling a lint knob re-lints without
-  /// invalidating proofs, and vice versa.
+  /// invalidating proofs, and vice versa — and by the function's spec
+  /// fingerprint as well as its body's: two modules with the same body
+  /// under different specs keep separate records.
   bool lookupLint(const std::string &Func, analysis::EntityVerdict &Out);
   void recordLint(const std::string &Func, const std::set<DepKey> &Deps,
                   const analysis::EntityVerdict &V);
@@ -163,23 +148,24 @@ public:
   /// through the session so the counters travel with the run stats).
   void noteTriagedStatic();
 
-  /// The persisted solver-cache entries to pre-warm the QueryCache with
-  /// (empty when LoadSolverCache is off or the store had none).
+  /// The solver-entry block the store holds, to pre-warm the QueryCache
+  /// with (empty when it holds none or it does not decode).
   std::vector<SavedQueryVerdict> solverEntriesToLoad() const;
 
-  /// Hands the run's QueryCache contents to the store (no-op when
-  /// SaveSolverCache is off).
+  /// Hands the run's QueryCache contents to the store; flush writes them
+  /// as its solver-entry block.
   void saveSolverEntries(std::vector<SavedQueryVerdict> Entries);
 
-  /// Writes the store back (atomic rename). No-op (success) when ReadOnly.
+  /// Writes the solver-entry block handed over since the last flush. The
+  /// same entries as the stored block write nothing. Obligation records
+  /// are written as the run produces them, so nothing else is pending, and
+  /// the store's GC is not run here: without a size budget (a StorePath
+  /// store has none) it would evict nothing. False on I/O failure.
   bool flush();
 
   const IncrRunStats &stats() const { return Stats; }
   const DepGraph &graph() const { return Graph; }
   const IncrConfig &config() const { return Cfg; }
-  const ProofStore &store() const { return Store; }
-  /// The shared cache backend in use (configured or owned), or nullptr.
-  CacheBackend *backend() const { return Remote; }
 
   /// The current fingerprint of \p Key against the session's tables
   /// (memoised; a missing entity maps to a fixed sentinel, so "was missing
@@ -201,27 +187,29 @@ private:
   };
   DepsVerdict checkDeps(const StoredObligation &Ob, char FlightSide);
   std::vector<StoredDep> snapshotDeps(const std::set<DepKey> &Deps);
-  /// Consults the shared backend for (S, Name) under the *current*
-  /// fingerprints and pins the key for the run. False on miss or when no
-  /// backend is configured; a hit still goes through checkDeps.
-  bool fetchShared(Side S, const std::string &Name, uint64_t SelfFp,
-                   uint64_t CfgFp, StoredObligation &Out);
-  /// Publishes \p Ob to the shared backend (no-op without one).
-  void publishShared(const StoredObligation &Ob);
-  /// Re-records a salvaged obligation under the current fingerprints (same
-  /// blob) in the local store and the shared backend, so the next run takes
-  /// the plain warm path. Invalidates \p Ob.
-  void refreshRecord(const StoredObligation &Ob, uint64_t SelfFp,
-                     const std::set<DepKey> &DepKeys);
+  /// The own fingerprint of \p Func's lint record: its body and its spec.
+  uint64_t lintSelfFp(const std::string &Func);
+  /// The one lookup path of all three sides: fetches the record under (S,
+  /// Name, SelfFp, the side's configuration fingerprint), validates its
+  /// dependencies, hands its blob to \p Decode and, on a salvage, rewrites
+  /// the record under the current dependency fingerprints so the next run
+  /// takes the plain warm path. Mu held.
+  bool lookup(Side S, const std::string &Name, uint64_t SelfFp,
+              const std::function<bool(const std::string &)> &Decode);
+  /// Writes the record of a verdict with the dependencies it consulted (no
+  /// store: a no-op). Mu held.
+  void put(Side S, const std::string &Name, uint64_t SelfFp,
+           const std::set<DepKey> &Deps, std::string Blob);
 
   IncrConfig Cfg;
   engine::VerifEnv &Env;
   const creusot::PearliteSpecTable *Contracts;
-  ProofStore Store;
-  /// SharedCacheDir-owned backend (flushed by this session) — Remote
-  /// points at it, or at the externally owned Cfg.Backend.
-  std::unique_ptr<CacheBackend> OwnedRemote;
-  CacheBackend *Remote = nullptr;
+  /// The StorePath directory this session opened — Store points at it, or
+  /// at the externally owned Cfg.Backend.
+  std::unique_ptr<SharedDirBackend> OwnedStore;
+  SharedDirBackend *Store = nullptr;
+  /// The encoded entries of the last saveSolverEntries, until flush.
+  std::optional<std::string> SolverBlock;
   DepGraph Graph;
   IncrRunStats Stats;
   uint64_t ConfigFp = 0;

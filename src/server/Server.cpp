@@ -159,7 +159,7 @@ void Server::serve() {
     Handlers.clear();
   }
   if (Backend)
-    Backend->flush();
+    Backend->gc();
   ::unlink(Cfg.SocketPath.c_str());
 }
 
@@ -325,10 +325,8 @@ void Server::runModule(
   incr::IncrConfig IC;
   IC.Enabled = true;
   IC.Backend = Backend.get();
-  // The daemon manages solver-entry residency itself (below); there is no
-  // local store file to load them from or save them to.
-  IC.LoadSolverCache = false;
-  IC.SaveSolverCache = false;
+  // The daemon keeps the solver entries resident itself (below) and
+  // neither loads nor saves the store's solver-entry block.
   incr::Session Sess(IC, Env, &M.Contracts);
   hybrid::HybridReport Report =
       S.runHybrid(Env, M.Contracts, UnsafeFuncs, Clients, &Sess);
@@ -387,9 +385,9 @@ std::string Server::renderStats(const Request &R) const {
      << ResidentSolverEntries.load(std::memory_order_relaxed);
   if (Backend) {
     incr::CacheBackendStats B = Backend->stats();
-    OS << ", \"cache\": {\"kind\": \"" << Backend->kind()
-       << "\", \"gets\": " << B.Gets << ", \"hits\": " << B.Hits
-       << ", \"puts\": " << B.Puts << ", \"puts_skipped\": " << B.PutsSkipped
+    OS << ", \"cache\": {\"kind\": \"shared-dir\", \"gets\": " << B.Gets
+       << ", \"hits\": " << B.Hits << ", \"puts\": " << B.Puts
+       << ", \"puts_skipped\": " << B.PutsSkipped
        << ", \"evictions\": " << B.Evictions << ", \"gc_runs\": " << B.GcRuns
        << ", \"bytes\": " << B.Bytes << ", \"entries\": " << B.Entries
        << "}";

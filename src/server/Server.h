@@ -26,8 +26,8 @@
 ///
 /// Shutdown is graceful: a `shutdown` request (or \c stop()) stops the
 /// accept loop, wakes queued requests with an error, drains the in-flight
-/// run, flushes the cache backend (running its size-budget GC) and removes
-/// the socket file.
+/// run, runs the cache backend's size-budget GC and removes the socket
+/// file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,7 +92,7 @@ public:
 
   /// Accepts and serves connections until \c stop() (or a shutdown
   /// request). Runs the graceful-shutdown epilogue before returning:
-  /// drains handlers, flushes the cache backend, unlinks the socket.
+  /// drains handlers, runs the cache backend's GC, unlinks the socket.
   void serve();
 
   /// Requests shutdown; safe from any thread and from signal context is

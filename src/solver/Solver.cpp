@@ -128,15 +128,12 @@ void ChainQuery::stableFingerprint(uint64_t &Fp, uint64_t &Fp2) const {
 
 namespace gilr {
 
-/// The innermost chain layer: the DPLL(T) search itself, with the latency
-/// histogram sample the pre-chain code recorded (full searches only, while
-/// tracing is on).
+/// The innermost chain layer: the DPLL(T) search itself.
 class CoreSolverLayer final : public SolverLayer {
 public:
   explicit CoreSolverLayer(Solver &S) : S(S) {}
 
   ChainOutcome solve(const ChainQuery &Q) override {
-    uint64_t T0 = trace::enabled() ? trace::nowNs() : 0;
     SolverStats TBefore = metrics::threadSolverStats();
     unsigned Budget = Q.MaxBranches;
     std::vector<Expr> Work = Q.Work;
@@ -149,8 +146,6 @@ public:
     SolverStats Delta = metrics::threadSolverStats() - TBefore;
     O.Branches = Delta.Branches;
     O.TheoryChecks = Delta.TheoryChecks;
-    if (T0)
-      metrics::Registry::get().recordSolverLatencyNs(trace::nowNs() - T0);
     return O;
   }
 

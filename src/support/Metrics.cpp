@@ -23,14 +23,6 @@ void Registry::add(const std::string &Name, uint64_t Delta) {
   Counters[Name] += Delta;
 }
 
-void Registry::recordSolverLatencyNs(uint64_t Ns) {
-  std::size_t Bucket = 0;
-  while (Bucket + 1 < LatencyBuckets && (Ns >> (Bucket + 1)) != 0)
-    ++Bucket;
-  std::lock_guard<std::mutex> Lock(Mu);
-  ++Latency[Bucket];
-}
-
 bool Registry::noteEntailFingerprint(uint64_t Fp) {
   bool Repeat = false;
   {
@@ -145,17 +137,11 @@ std::map<std::string, uint64_t> Registry::counters() const {
   return Counters;
 }
 
-std::array<uint64_t, LatencyBuckets> Registry::latencyHistogram() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Latency;
-}
-
 void Registry::reset() {
   std::lock_guard<std::mutex> Lock(Mu);
   Counters.clear();
   EntailSeen.clear();
   EntailSeenDropped = 0;
-  Latency.fill(0);
   Solver = SolverStats();
   CacheReport = QueryCacheReport();
   AnalysisRep = AnalysisReport();

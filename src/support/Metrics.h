@@ -4,9 +4,10 @@
 /// The metrics registry backing the telemetry layer: named monotonic
 /// counters, the process-wide solver statistics (shared by every \c Solver
 /// instance, so counts survive the multiple instantiations in engine/,
-/// creusot/ and the test/bench harnesses), a log2 latency histogram for
-/// solver queries, and the repeat-entailment fingerprint set that
-/// quantifies the headroom of the scheduler's query cache.
+/// creusot/ and the test/bench harnesses), the flight recorder's solver
+/// query aggregates (its log2 latency histogram among them), and the
+/// repeat-entailment fingerprint set that quantifies the headroom of the
+/// scheduler's query cache.
 ///
 /// Concurrency: the proof scheduler (src/sched/) runs solver queries from
 /// many worker threads against the single shared \c SolverStats instance,
@@ -17,9 +18,9 @@
 ///
 /// Cost model: the \c SolverStats fields are single relaxed atomic adds and
 /// are always live. Everything that allocates (named counters,
-/// fingerprints, latency samples) is only fed by call sites when tracing is
-/// enabled, so the default GILR_TRACE=off configuration adds no allocation
-/// to any hot path.
+/// fingerprints) is only fed by call sites when tracing is enabled, and the
+/// query aggregates only while the flight recorder is on, so the default
+/// configuration adds no allocation to any hot path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,11 +106,6 @@ struct SolverStats {
 
 namespace metrics {
 
-/// Number of log2 buckets in the solver latency histogram. Bucket i counts
-/// queries with latency in [2^i, 2^{i+1}) nanoseconds (bucket 0 also takes
-/// sub-nanosecond readings, the last bucket everything slower).
-constexpr std::size_t LatencyBuckets = 32;
-
 /// Cap on the repeat-entailment fingerprint set: long traced runs would
 /// otherwise grow it without bound. Once saturated, new fingerprints are no
 /// longer recorded (the reported repeat rate becomes approximate) and the
@@ -164,9 +160,10 @@ struct SolverQueriesReport {
   uint64_t Unknowns = 0;
   uint64_t TotalNs = 0;
   uint64_t MaxNs = 0;
-  /// Log2 latency buckets over *all* queries (cache hits included — unlike
-  /// the trace-gated solver_latency_log2_ns histogram, which only times
-  /// full searches).
+  /// Log2 latency buckets over all queries, cache hits included: bucket i
+  /// counts queries with latency in [2^i, 2^{i+1}) nanoseconds (bucket 0
+  /// also takes sub-nanosecond readings, the last bucket everything
+  /// slower).
   std::array<uint64_t, 32> Histogram = {};
   /// The slowest queries seen, sorted by descending duration.
   std::vector<SolverQuerySample> Slowest;
@@ -207,7 +204,7 @@ struct IncrReport {
   bool Valid = false;
   uint64_t Cached = 0;      ///< Proof verdicts replayed from the store.
   uint64_t Verified = 0;    ///< Proof obligations re-verified.
-  uint64_t Invalidated = 0; ///< Store records rejected (fingerprint moved).
+  uint64_t Invalidated = 0; ///< Records rejected (a dependency moved).
   /// Verdicts replayed although a dependency fingerprint moved: the edit
   /// touched no relied-on clause (Salvaged, zero solver work) / the salvage
   /// implications held (Implied). Both also count in Cached.
@@ -215,11 +212,8 @@ struct IncrReport {
   uint64_t Implied = 0;
   /// Solver queries spent discharging salvage implications.
   uint64_t SalvageQueries = 0;
-  /// Load-time store compaction rewrites.
-  uint64_t Compactions = 0;
   uint64_t CachedLint = 0;
   uint64_t AnalyzedLint = 0;
-  bool StoreLoaded = false;
 };
 
 /// Summary of the interprocedural summary phase and triage tier of the most
@@ -250,9 +244,6 @@ public:
 
   /// Adds \p Delta to the named counter. Callers gate on trace::enabled().
   void add(const std::string &Name, uint64_t Delta = 1);
-
-  /// Records one solver query latency into the log2 histogram.
-  void recordSolverLatencyNs(uint64_t Ns);
 
   /// Notes an entails-call fingerprint; returns true iff it was already
   /// seen (a would-be memo hit). Bumps \c Solver.EntailRepeats (process and
@@ -309,9 +300,6 @@ public:
   /// Snapshot of the named counters.
   std::map<std::string, uint64_t> counters() const;
 
-  /// Snapshot of the latency histogram (bucket counts).
-  std::array<uint64_t, LatencyBuckets> latencyHistogram() const;
-
   /// Clears everything, including the shared solver stats.
   void reset();
 
@@ -322,7 +310,6 @@ private:
   std::map<std::string, uint64_t> Counters;
   std::unordered_set<uint64_t> EntailSeen;
   uint64_t EntailSeenDropped = 0;
-  std::array<uint64_t, LatencyBuckets> Latency = {};
   QueryCacheReport CacheReport;
   AnalysisReport AnalysisRep;
   IncrReport IncrRep;

@@ -420,11 +420,8 @@ gilr::trace::renderStatsJson(const std::vector<std::string> &CaseStudies) {
     Out += ", \"salvaged\": " + std::to_string(IR.Salvaged);
     Out += ", \"implied\": " + std::to_string(IR.Implied);
     Out += ", \"salvage_queries\": " + std::to_string(IR.SalvageQueries);
-    Out += ", \"compactions\": " + std::to_string(IR.Compactions);
     Out += ", \"cached_lint\": " + std::to_string(IR.CachedLint);
     Out += ", \"analyzed_lint\": " + std::to_string(IR.AnalyzedLint);
-    Out += std::string(", \"store_loaded\": ") +
-           (IR.StoreLoaded ? "true" : "false");
     Out += "},\n";
   }
 
@@ -481,15 +478,6 @@ gilr::trace::renderStatsJson(const std::vector<std::string> &CaseStudies) {
     }
     Out += FQ.Slowest.empty() ? "]},\n" : "\n    ]},\n";
   }
-
-  Out += "  \"solver_latency_log2_ns\": [";
-  auto Histo = R.latencyHistogram();
-  for (std::size_t I = 0; I != Histo.size(); ++I) {
-    if (I)
-      Out += ", ";
-    Out += std::to_string(Histo[I]);
-  }
-  Out += "],\n";
 
   Out += "  \"counters\": {";
   bool First = true;

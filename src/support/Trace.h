@@ -178,8 +178,8 @@ std::size_t eventCount();
 std::string renderTraceJson();
 
 /// Renders the stats JSON: named counters, solver statistics (including the
-/// repeat-entailment rate), the solver latency histogram, and the phase
-/// aggregates. \p CaseStudies is optional extra per-case JSON (already
+/// repeat-entailment rate), the flight recorder's query aggregates, and the
+/// phase aggregates. \p CaseStudies is optional extra per-case JSON (already
 /// rendered objects) spliced into a "cases" array.
 std::string renderStatsJson(const std::vector<std::string> &CaseStudies = {});
 

@@ -584,7 +584,7 @@ TEST_F(FlightE2ETest, WarmIncrementalRunJournalsCachedMarkers) {
   EXPECT_EQ(WarmSafe, Clients.size());
   EXPECT_EQ(WarmQueries, 0u);
 
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
 }
 
 } // namespace

@@ -294,6 +294,17 @@ TEST(FrontendCli, UsageErrorsAreThree) {
   EXPECT_EQ(3, cli({"check", "--no-such-flag", corpusPath("vec")}));
 }
 
+TEST(FrontendCli, IncrStoreThatIsAFileIsThree) {
+  // The store is a directory: a regular file at the path is refused before
+  // any run, instead of verifying cold without a store.
+  std::string File = tempModule("store_file", "not a store directory\n");
+  std::string ErrText;
+  EXPECT_EQ(3, cli({"verify", "--incr-store", File, corpusPath("vec")},
+                   nullptr, &ErrText));
+  EXPECT_NE(ErrText.find("not a directory"), std::string::npos) << ErrText;
+  std::remove(File.c_str());
+}
+
 TEST(FrontendCli, MissingFileIsThree) {
   std::string ErrText;
   EXPECT_EQ(3, cli({"check", "/nonexistent/nope.gilr"}, nullptr, &ErrText));

@@ -22,6 +22,7 @@
 #include "incr/Session.h"
 #include "rustlib/Clients.h"
 #include "rustlib/LinkedList.h"
+#include "rustlib/Stack.h"
 #include "rustlib/Vec.h"
 #include "sched/Scheduler.h"
 #include "support/Trace.h"
@@ -30,10 +31,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <tuple>
 
 using namespace gilr;
 using namespace gilr::rustlib;
@@ -48,9 +48,10 @@ std::string stripCachedMarkers(std::string S) {
   return S;
 }
 
+/// A fresh (absent) store directory.
 std::string tempStorePath(const std::string &Name) {
-  std::string Path = ::testing::TempDir() + "gilr_incr_" + Name + ".prf";
-  std::remove(Path.c_str());
+  std::string Path = ::testing::TempDir() + "gilr_incr_" + Name;
+  std::filesystem::remove_all(Path);
   return Path;
 }
 
@@ -157,10 +158,7 @@ engine::VerifyReport sampleReport() {
   return R;
 }
 
-TEST_F(IncrTest, ProofStoreRoundTrips) {
-  std::string Path = tempStorePath("roundtrip");
-
-  incr::ProofStore W(Path);
+TEST_F(IncrTest, RecordCodecsRoundTrip) {
   incr::StoredObligation Ob;
   Ob.S = incr::Side::Unsafe;
   Ob.Name = "f";
@@ -169,24 +167,19 @@ TEST_F(IncrTest, ProofStoreRoundTrips) {
   Ob.Deps = {{deps::Kind::Lemma, "ll_extract_head", 42, false, {}},
              {deps::Kind::Spec, "f", 43, false, {}}};
   Ob.Blob = incr::encodeVerifyReport(sampleReport());
-  W.put(Ob);
-  W.setSolverEntries({{11, 22, {SatResult::Unsat, 9, 4}}});
-  ASSERT_TRUE(W.flush());
 
-  incr::ProofStore Rd(Path);
-  ASSERT_TRUE(Rd.load());
-  EXPECT_FALSE(Rd.truncated());
-  const incr::StoredObligation *Got = Rd.lookup(incr::Side::Unsafe, "f");
-  ASSERT_NE(Got, nullptr);
-  EXPECT_EQ(Got->SelfFp, 0xabcu);
-  EXPECT_EQ(Got->ConfigFp, 0xdefu);
-  ASSERT_EQ(Got->Deps.size(), 2u);
-  EXPECT_EQ(Got->Deps[0].K, deps::Kind::Lemma);
-  EXPECT_EQ(Got->Deps[0].Name, "ll_extract_head");
-  EXPECT_EQ(Got->Deps[0].Fp, 42u);
+  incr::StoredObligation Got;
+  ASSERT_TRUE(incr::decodeObligationRecord(incr::encodeObligationRecord(Ob),
+                                           Got));
+  EXPECT_EQ(Got.SelfFp, 0xabcu);
+  EXPECT_EQ(Got.ConfigFp, 0xdefu);
+  ASSERT_EQ(Got.Deps.size(), 2u);
+  EXPECT_EQ(Got.Deps[0].K, deps::Kind::Lemma);
+  EXPECT_EQ(Got.Deps[0].Name, "ll_extract_head");
+  EXPECT_EQ(Got.Deps[0].Fp, 42u);
 
   engine::VerifyReport R;
-  ASSERT_TRUE(incr::decodeVerifyReport(Got->Blob, R));
+  ASSERT_TRUE(incr::decodeVerifyReport(Got.Blob, R));
   engine::VerifyReport Want = sampleReport();
   EXPECT_EQ(R.Func, Want.Func);
   EXPECT_EQ(R.Ok, Want.Ok);
@@ -201,175 +194,152 @@ TEST_F(IncrTest, ProofStoreRoundTrips) {
   EXPECT_EQ(R.Phases[0].Key, "engine.consume");
   EXPECT_EQ(R.Phases[0].Nanos, 123456u);
 
-  ASSERT_EQ(Rd.solverEntries().size(), 1u);
-  EXPECT_EQ(Rd.solverEntries()[0].Fp, 11u);
-  EXPECT_EQ(Rd.solverEntries()[0].V.R, SatResult::Unsat);
-  EXPECT_EQ(Rd.solverEntries()[0].V.Branches, 9u);
+  // The solver block encodes in (Fp, Fp2) order, so any shard order of the
+  // same entries gives the same bytes.
+  std::vector<SavedQueryVerdict> Es = {{11, 22, {SatResult::Unsat, 9, 4}},
+                                       {3, 5, {SatResult::Sat, 1, 2}},
+                                       {11, 7, {SatResult::Unsat, 0, 1}}};
+  std::string Block = incr::encodeSolverBlock(Es);
+  std::reverse(Es.begin(), Es.end());
+  EXPECT_EQ(incr::encodeSolverBlock(Es), Block);
+  std::vector<SavedQueryVerdict> Back;
+  ASSERT_TRUE(incr::decodeSolverBlock(Block, Back));
+  ASSERT_EQ(Back.size(), 3u);
+  EXPECT_EQ(Back[0].Fp, 3u);
+  EXPECT_EQ(Back[1].Fp2, 7u);
+  EXPECT_EQ(Back[2].V.R, SatResult::Unsat);
+  EXPECT_EQ(Back[2].V.Branches, 9u);
+  EXPECT_FALSE(incr::decodeSolverBlock(Block.substr(0, Block.size() - 1),
+                                       Back));
 }
 
-// Raw little helpers mirroring the store's wire format, for hand-rolling a
-// previous-version file the current writer can no longer produce.
-void appendU32(std::string &S, uint32_t V) {
-  S.append(reinterpret_cast<const char *>(&V), sizeof V);
+/// The record file of unsafe obligation \p Func in the store at \p Path,
+/// under the fingerprints of \p Env.
+std::string unsafeRecordPath(const std::string &Path, engine::VerifEnv &Env,
+                             const std::string &Func) {
+  incr::SharedDirConfig SC;
+  SC.Dir = Path;
+  incr::SharedDirBackend B(SC);
+  return B.recordPath(incr::obligationCacheKey(
+      incr::Side::Unsafe, Func, incr::fpFunction(*Env.Prog.lookup(Func)),
+      incr::fpAutomation(Env.Auto, Env.Solv.MaxBranches)));
 }
-void appendU64(std::string &S, uint64_t V) {
-  S.append(reinterpret_cast<const char *>(&V), sizeof V);
+
+/// What runThroughSession observed.
+struct SessionRun {
+  hybrid::HybridReport Report;
+  incr::IncrRunStats Stats;
+  std::vector<SavedQueryVerdict> Loaded, Saved;
+};
+
+/// One scheduled LinkedList run through a session over \p Inc's store:
+/// preloads the solver block, saves the run's entries back and flushes.
+SessionRun runThroughSession(LinkedListLib &Lib, const incr::IncrConfig &Inc,
+                             unsigned Threads) {
+  SessionRun Out;
+  sched::SchedulerConfig SC;
+  SC.Threads = Threads;
+  SC.StableCacheKeys = true;
+  sched::Scheduler S(SC);
+  engine::VerifEnv Env = Lib.env();
+  incr::Session Sess(Inc, Env, &Lib.Contracts);
+  Out.Loaded = Sess.solverEntriesToLoad();
+  S.preloadCache(Out.Loaded);
+  Out.Report =
+      S.runHybrid(Env, Lib.Contracts, unsafeFuncs(), makeClients(), &Sess);
+  Out.Saved = S.exportCacheEntries();
+  Sess.saveSolverEntries(Out.Saved);
+  EXPECT_TRUE(Sess.flush());
+  Out.Stats = Sess.stats();
+  return Out;
 }
-uint64_t recordFnv1a(uint8_t Type, const std::string &Payload) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Step = [&H](unsigned char C) {
-    H ^= C;
-    H *= 0x100000001b3ull;
+
+TEST_F(IncrTest, SolverBlockRoundTripsThroughTheStore) {
+  incr::IncrConfig Inc;
+  Inc.Enabled = true;
+  Inc.StorePath = tempStorePath("solver_block");
+
+  SessionRun Cold = runThroughSession(*Lib, Inc, 1);
+  ASSERT_TRUE(Cold.Report.ok());
+  EXPECT_TRUE(Cold.Loaded.empty());
+  ASSERT_FALSE(Cold.Saved.empty());
+
+  // The warm session preloads exactly what the cold one saved.
+  engine::VerifEnv Env = Lib->env();
+  incr::Session Warm(Inc, Env, &Lib->Contracts);
+  auto Sorted = [](std::vector<SavedQueryVerdict> Es) {
+    std::sort(Es.begin(), Es.end(),
+              [](const SavedQueryVerdict &A, const SavedQueryVerdict &B) {
+                return std::tie(A.Fp, A.Fp2) < std::tie(B.Fp, B.Fp2);
+              });
+    return Es;
   };
-  Step(Type);
-  for (unsigned char C : Payload)
-    Step(C);
-  return H;
+  std::vector<SavedQueryVerdict> Want = Sorted(Cold.Saved);
+  std::vector<SavedQueryVerdict> Got = Sorted(Warm.solverEntriesToLoad());
+  ASSERT_EQ(Got.size(), Want.size());
+  for (std::size_t I = 0; I != Got.size(); ++I) {
+    EXPECT_EQ(Got[I].Fp, Want[I].Fp) << I;
+    EXPECT_EQ(Got[I].Fp2, Want[I].Fp2) << I;
+    EXPECT_EQ(Got[I].V.R, Want[I].V.R) << I;
+    EXPECT_EQ(Got[I].V.Branches, Want[I].V.Branches) << I;
+    EXPECT_EQ(Got[I].V.TheoryChecks, Want[I].V.TheoryChecks) << I;
+  }
 }
 
-TEST_F(IncrTest, MissingAndForeignStoresRunCold) {
-  incr::ProofStore Missing(tempStorePath("missing"));
-  EXPECT_FALSE(Missing.load());
-  EXPECT_EQ(Missing.size(), 0u);
+TEST_F(IncrTest, WarmRunWithNothingNewWritesNothing) {
+  std::string Path = tempStorePath("untouched_block");
+  incr::SharedDirConfig SC;
+  SC.Dir = Path;
+  incr::SharedDirBackend Store(SC);
+  incr::IncrConfig Inc;
+  Inc.Enabled = true;
+  Inc.Backend = &Store;
+  ASSERT_TRUE(runThroughSession(*Lib, Inc, 1).Report.ok());
+  std::string BlockPath = Store.recordPath(incr::SolverBlockCacheKey);
+  std::string Before = readFileBytes(BlockPath);
+  ASSERT_FALSE(Before.empty());
 
-  std::string Path = tempStorePath("foreign");
-  {
-    std::ofstream Out(Path, std::ios::binary);
-    Out << "this is not a proof store at all, but it is long enough";
-  }
-  incr::ProofStore Foreign(Path);
-  EXPECT_FALSE(Foreign.load());
-  EXPECT_EQ(Foreign.size(), 0u);
-
-  // A format-5 store (the last version with summary records) holding one
-  // well-formed obligation record: it loads as no store, and the next
-  // writable flush replaces it with a current-format file.
-  incr::StoredObligation Ob;
-  Ob.S = incr::Side::Unsafe;
-  Ob.Name = "f";
-  Ob.SelfFp = 0xabc;
-  Ob.ConfigFp = 0xdef;
-  Ob.Blob = incr::encodeVerifyReport(sampleReport());
-  std::string Payload = incr::encodeObligationRecord(Ob);
-  std::string File = "GILRPRF1";
-  appendU32(File, 5); // Format version.
-  appendU32(File, 0); // Reserved.
-  File.push_back(1);  // RecObligation.
-  appendU32(File, static_cast<uint32_t>(Payload.size()));
-  File += Payload;
-  appendU64(File, recordFnv1a(1, Payload));
-  std::string OldPath = tempStorePath("format5");
-  {
-    std::ofstream Out(OldPath, std::ios::binary);
-    Out.write(File.data(), static_cast<std::streamsize>(File.size()));
-  }
-  incr::ProofStore Old(OldPath);
-  EXPECT_FALSE(Old.load(/*AllowCompaction=*/true));
-  EXPECT_EQ(Old.size(), 0u);
-  EXPECT_EQ(Old.compactions(), 0u);
-  EXPECT_EQ(readFileBytes(OldPath), File);
-  Ob.Name = "g";
-  Old.put(Ob);
-  ASSERT_TRUE(Old.flush());
-  std::string Bytes = readFileBytes(OldPath);
-  ASSERT_GE(Bytes.size(), 16u);
-  EXPECT_EQ(Bytes.compare(0, 8, "GILRPRF1"), 0);
-  uint32_t Version = 0;
-  std::memcpy(&Version, Bytes.data() + 8, sizeof Version);
-  EXPECT_EQ(Version, 6u);
-  incr::ProofStore Current(OldPath);
-  ASSERT_TRUE(Current.load());
-  EXPECT_EQ(Current.size(), 1u);
-  EXPECT_EQ(Current.lookup(incr::Side::Unsafe, "f"), nullptr);
-  EXPECT_NE(Current.lookup(incr::Side::Unsafe, "g"), nullptr);
+  // Four workers may export the shards in another order; the block still
+  // encodes to the stored bytes, so its put is skipped.
+  incr::CacheBackendStats S0 = Store.stats();
+  SessionRun Warm = runThroughSession(*Lib, Inc, 4);
+  ASSERT_TRUE(Warm.Report.ok());
+  EXPECT_EQ(Warm.Stats.verified(), 0u);
+  incr::CacheBackendStats S1 = Store.stats();
+  EXPECT_EQ(S1.Puts, S0.Puts);
+  EXPECT_EQ(S1.PutsSkipped, S0.PutsSkipped + 1);
+  EXPECT_EQ(readFileBytes(BlockPath), Before);
 }
 
-TEST_F(IncrTest, TruncatedStoreKeepsValidPrefix) {
-  std::string Path = tempStorePath("truncated");
-  {
-    incr::ProofStore W(Path);
-    for (const char *Name : {"first", "second"}) {
-      incr::StoredObligation Ob;
-      Ob.S = incr::Side::Unsafe;
-      Ob.Name = Name;
-      Ob.SelfFp = 1;
-      Ob.ConfigFp = 1;
-      Ob.Blob = incr::encodeVerifyReport(sampleReport());
-      W.put(Ob);
-    }
-    ASSERT_TRUE(W.flush());
-  }
-  std::string Bytes = readFileBytes(Path);
-  ASSERT_GT(Bytes.size(), 24u);
-  {
-    // Tear the tail off the last record — a crash mid-append.
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size() - 7));
-  }
-  incr::ProofStore Rd(Path);
-  EXPECT_TRUE(Rd.load());
-  EXPECT_TRUE(Rd.truncated());
-  EXPECT_EQ(Rd.size(), 1u); // The valid prefix survives.
-
-  // Flipping a payload byte must fail that record's checksum.
-  std::string Flipped = Bytes;
-  Flipped[Flipped.size() / 2] ^= 0x40;
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(Flipped.data(), static_cast<std::streamsize>(Flipped.size()));
-  }
-  incr::ProofStore Rd2(Path);
-  EXPECT_TRUE(Rd2.load());
-  EXPECT_TRUE(Rd2.truncated());
-  EXPECT_LT(Rd2.size(), 2u);
-}
-
-TEST_F(IncrTest, LoadCompactionDropsSupersededRecords) {
-  std::string Path = tempStorePath("compaction");
-  auto MakeOb = [](const std::string &Blob) {
-    incr::StoredObligation Ob;
-    Ob.S = incr::Side::Unsafe;
-    Ob.Name = "f";
-    Ob.SelfFp = 1;
-    Ob.ConfigFp = 1;
-    Ob.Blob = Blob;
-    return Ob;
+TEST_F(IncrTest, LookAlikeModulesKeepSeparateLintRecords) {
+  // The safety and functional Stack modules have the same function bodies
+  // under different specs. Verified in turn through one store, each keeps
+  // its own lint records: the second round re-lints nothing.
+  incr::IncrConfig Inc;
+  Inc.Enabled = true;
+  Inc.StorePath = tempStorePath("lookalike_lint");
+  sched::SchedulerConfig C;
+  auto Run = [&](StackSpecMode Mode) {
+    std::unique_ptr<StackLib> L = buildStackLib(Mode);
+    engine::VerifEnv E = L->env();
+    engine::Verifier V(E);
+    incr::IncrRunStats S;
+    for (const engine::VerifyReport &R :
+         V.verifyAll(stackFunctions(), C, Inc, &S))
+      EXPECT_TRUE(R.Ok) << R.Func;
+    return S;
   };
-  {
-    incr::ProofStore W(Path);
-    W.put(MakeOb("first"));
-    ASSERT_TRUE(W.flush());
+  for (StackSpecMode Mode :
+       {StackSpecMode::TypeSafety, StackSpecMode::Functional})
+    Run(Mode);
+  for (StackSpecMode Mode :
+       {StackSpecMode::TypeSafety, StackSpecMode::Functional}) {
+    incr::IncrRunStats S = Run(Mode);
+    EXPECT_EQ(S.AnalyzedLint, 0u);
+    EXPECT_EQ(S.CachedLint, stackFunctions().size());
+    EXPECT_EQ(S.verified(), 0u);
+    EXPECT_EQ(S.Invalidated, 0u);
   }
-  std::size_t Snapshot = readFileBytes(Path).size();
-
-  // Re-putting the same key onto an intact log appends a superseding
-  // record: cheap warm-loop write, growing file.
-  {
-    incr::ProofStore W(Path);
-    ASSERT_TRUE(W.load(/*AllowCompaction=*/true));
-    EXPECT_EQ(W.compactions(), 0u);
-    W.put(MakeOb("second blob, strictly longer than the first"));
-    ASSERT_TRUE(W.flush());
-  }
-  std::size_t Appended = readFileBytes(Path).size();
-  EXPECT_GT(Appended, Snapshot);
-
-  // The next writable load collapses the supersede chain: one compaction,
-  // the last record wins, and the file shrinks back to one record.
-  {
-    incr::ProofStore R(Path);
-    ASSERT_TRUE(R.load(/*AllowCompaction=*/true));
-    EXPECT_EQ(R.compactions(), 1u);
-    ASSERT_EQ(R.size(), 1u);
-    const incr::StoredObligation *Got = R.lookup(incr::Side::Unsafe, "f");
-    ASSERT_NE(Got, nullptr);
-    EXPECT_EQ(Got->Blob, "second blob, strictly longer than the first");
-  }
-  EXPECT_LT(readFileBytes(Path).size(), Appended);
-
-  incr::ProofStore R2(Path);
-  ASSERT_TRUE(R2.load(/*AllowCompaction=*/true));
-  EXPECT_EQ(R2.compactions(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -393,7 +363,6 @@ TEST_F(IncrTest, WarmRunReplaysEverythingWithZeroSolverWork) {
   ASSERT_TRUE(Cold.ok());
   EXPECT_EQ(S1.cached(), 0u);
   EXPECT_EQ(S1.verified(), Total);
-  EXPECT_FALSE(S1.StoreLoaded);
 
   incr::IncrRunStats S2;
   engine::VerifEnv E2 = Lib->env();
@@ -407,7 +376,6 @@ TEST_F(IncrTest, WarmRunReplaysEverythingWithZeroSolverWork) {
     EXPECT_EQ(static_cast<uint64_t>(Zero.accrued().Branches), 0u);
   }
   ASSERT_TRUE(Warm.ok());
-  EXPECT_TRUE(S2.StoreLoaded);
   EXPECT_EQ(S2.cached(), Total);
   EXPECT_EQ(S2.verified(), 0u);
   EXPECT_EQ(S2.Invalidated, 0u);
@@ -449,51 +417,61 @@ TEST_F(IncrTest, WarmRunIsWorkerCountIndependent) {
 
 TEST_F(IncrTest, CorruptStoreDegradesToColdRunWithoutError) {
   std::string Path = tempStorePath("corrupt_e2e");
+  incr::IncrConfig Inc;
+  Inc.Enabled = true;
+  Inc.StorePath = Path;
+  sched::SchedulerConfig C;
+  std::vector<std::string> Funcs = unsafeFuncs();
+  std::size_t Total = Funcs.size() + makeClients().size();
+  auto Run = [&](incr::IncrRunStats &S) {
+    engine::VerifEnv E = Lib->env();
+    hybrid::HybridDriver D(E, Lib->Contracts);
+    return D.run(Funcs, makeClients(), C, Inc, &S).ok();
+  };
+
+  // A store directory holding only foreign files runs cold.
+  std::filesystem::create_directories(Path + "/objects/ab");
   {
-    std::ofstream Out(Path, std::ios::binary);
-    Out << "GILRPRF1 garbage follows the magic: \x01\x02\x03";
+    std::ofstream Out(Path + "/objects/ab/not-a-record.rec");
+    Out << "this is not a proof record at all";
   }
-  incr::IncrConfig Inc;
-  Inc.Enabled = true;
-  Inc.StorePath = Path;
-  sched::SchedulerConfig C;
-  incr::IncrRunStats S;
-  engine::VerifEnv E = Lib->env();
-  hybrid::HybridDriver D(E, Lib->Contracts);
-  hybrid::HybridReport R = D.run(unsafeFuncs(), makeClients(), C, Inc, &S);
-  ASSERT_TRUE(R.ok());
-  EXPECT_EQ(S.cached(), 0u);
+  incr::IncrRunStats S1;
+  ASSERT_TRUE(Run(S1));
+  EXPECT_EQ(S1.cached(), 0u);
+  EXPECT_EQ(S1.verified(), Total);
 
-  // The flush at the end replaced the corrupt file with a usable store.
+  // Flip a payload byte of one record, truncate another and the solver
+  // block: each reads as a miss, only those two obligations re-verify, and
+  // their puts replace the broken files.
+  engine::VerifEnv Env = Lib->env();
+  std::string Flipped = unsafeRecordPath(Path, Env, Funcs[0]);
+  std::string Torn = unsafeRecordPath(Path, Env, Funcs[1]);
+  incr::SharedDirConfig SC;
+  SC.Dir = Path;
+  std::string Block =
+      incr::SharedDirBackend(SC).recordPath(incr::SolverBlockCacheKey);
+  std::string Good = readFileBytes(Flipped);
+  ASSERT_FALSE(Good.empty());
+  std::string Bad = Good;
+  Bad[Bad.size() / 2] ^= 0x40;
+  for (const auto &[File, Bytes] :
+       {std::pair<std::string, std::string>{Flipped, Bad},
+        {Torn, readFileBytes(Torn).substr(0, 20)},
+        {Block, readFileBytes(Block).substr(0, 30)}}) {
+    std::ofstream Out(File, std::ios::binary | std::ios::trunc);
+    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  }
   incr::IncrRunStats S2;
-  engine::VerifEnv E2 = Lib->env();
-  hybrid::HybridDriver D2(E2, Lib->Contracts);
-  hybrid::HybridReport R2 = D2.run(unsafeFuncs(), makeClients(), C, Inc, &S2);
-  ASSERT_TRUE(R2.ok());
-  EXPECT_EQ(S2.verified(), 0u);
-}
+  ASSERT_TRUE(Run(S2));
+  EXPECT_EQ(S2.VerifiedUnsafe, 2u);
+  EXPECT_EQ(S2.cached(), Total - 2);
+  EXPECT_EQ(S2.Invalidated, 0u);
+  EXPECT_NE(readFileBytes(Flipped), Bad);
 
-TEST_F(IncrTest, ReadOnlyModeNeverWritesTheStore) {
-  std::string Path = tempStorePath("readonly");
-  incr::IncrConfig Inc;
-  Inc.Enabled = true;
-  Inc.StorePath = Path;
-  sched::SchedulerConfig C;
-  engine::VerifEnv E1 = Lib->env();
-  hybrid::HybridDriver D1(E1, Lib->Contracts);
-  ASSERT_TRUE(D1.run(unsafeFuncs(), makeClients(), C, Inc).ok());
-
-  std::string Before = readFileBytes(Path);
-  ASSERT_FALSE(Before.empty());
-
-  incr::IncrConfig RO = Inc;
-  RO.ReadOnly = true;
-  incr::IncrRunStats S;
-  engine::VerifEnv E2 = Lib->env();
-  hybrid::HybridDriver D2(E2, Lib->Contracts);
-  ASSERT_TRUE(D2.run(unsafeFuncs(), makeClients(), C, RO, &S).ok());
-  EXPECT_EQ(S.cached(), unsafeFuncs().size() + makeClients().size());
-  EXPECT_EQ(readFileBytes(Path), Before);
+  incr::IncrRunStats S3;
+  ASSERT_TRUE(Run(S3));
+  EXPECT_EQ(S3.verified(), 0u);
+  EXPECT_EQ(S3.cached(), Total);
 }
 
 //===----------------------------------------------------------------------===//
@@ -646,8 +624,9 @@ TEST_F(IncrTest, SalvagedWarmRunIsWorkerCountIndependent) {
   hybrid::HybridDriver D1(E1, Lib->Contracts);
   hybrid::HybridReport Cold = D1.run(Funcs, Clients, Serial, Inc);
   ASSERT_TRUE(Cold.ok());
-  std::string ColdStore = readFileBytes(Path);
-  ASSERT_FALSE(ColdStore.empty());
+  std::string ColdStore = tempStorePath("salvage_parallel_cold");
+  std::filesystem::copy(Path, ColdStore,
+                        std::filesystem::copy_options::recursive);
 
   auto *LV = Lib->Lemmas.lookupMutable("ll_extract_head");
   ASSERT_NE(LV, nullptr);
@@ -656,16 +635,14 @@ TEST_F(IncrTest, SalvagedWarmRunIsWorkerCountIndependent) {
   Expr Z = mkVar("incr$edit", Sort::Int);
   Ex.Requires = mkAnd(Old, mkLe(Z, mkAdd(Z, mkInt(1))));
 
-  // Both runs start from the cold store bytes (a salvage refreshes the
+  // Both runs start from a copy of the cold store (a salvage refreshes the
   // record on disk), so each takes the implication-salvage path; the
   // rendered reports must not depend on the worker count.
   std::vector<std::string> Rendered;
   for (unsigned Threads : {1u, 4u}) {
-    {
-      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-      Out.write(ColdStore.data(),
-                static_cast<std::streamsize>(ColdStore.size()));
-    }
+    std::filesystem::remove_all(Path);
+    std::filesystem::copy(ColdStore, Path,
+                          std::filesystem::copy_options::recursive);
     sched::SchedulerConfig C;
     C.Threads = Threads;
     incr::IncrRunStats S;
@@ -812,23 +789,16 @@ TEST_F(IncrTest, ContractClauseEditReverifiesExactlyItsDependents) {
 
 /// Scaffold for the spec-edit tests: a private Vec universe (the edits
 /// mutate the spec table in place), lints off so the runs measure proof
-/// obligations only. The runs keep their verdicts in a store file, or with
-/// \p Shared in a shared cache directory alone (how gilrd and
-/// `gilr verify --shared-cache` run).
+/// obligations only.
 struct VecEditRun {
   std::unique_ptr<VecLib> VL = buildVecLib();
   std::vector<std::string> Funcs = vecFunctions();
   incr::IncrConfig Inc;
   sched::SchedulerConfig C;
 
-  explicit VecEditRun(const std::string &Name, bool Shared = false) {
+  explicit VecEditRun(const std::string &Name) {
     Inc.Enabled = true;
-    if (Shared) {
-      Inc.SharedCacheDir = ::testing::TempDir() + "gilr_incr_" + Name;
-      std::filesystem::remove_all(Inc.SharedCacheDir);
-    } else {
-      Inc.StorePath = tempStorePath(Name);
-    }
+    Inc.StorePath = tempStorePath(Name);
   }
 
   std::vector<engine::VerifyReport> run(incr::IncrRunStats &S) {
@@ -877,10 +847,8 @@ TEST_F(IncrTest, SpecConjunctReorderSalvagesWithZeroSolverWork) {
   EXPECT_EQ(S2.SalvageQueries, 0u);
 }
 
-/// Rewrites one pure pre conjunct equivalently, then expects the salvage
-/// through implication and, on the run after it, a plain warm hit.
-void strengthenSalvagesThroughImplication(bool Shared) {
-  VecEditRun R("spec_strengthen", Shared);
+TEST_F(IncrTest, SpecConjunctStrengthenSalvagesThroughImplication) {
+  VecEditRun R("spec_strengthen");
   incr::IncrRunStats S1;
   for (const engine::VerifyReport &Rep : R.run(S1))
     ASSERT_TRUE(Rep.Ok) << Rep.Func;
@@ -920,18 +888,8 @@ void strengthenSalvagesThroughImplication(bool Shared) {
   EXPECT_EQ(S3.SalvageQueries, 0u);
 }
 
-TEST_F(IncrTest, SpecConjunctStrengthenSalvagesThroughImplication) {
-  strengthenSalvagesThroughImplication(/*Shared=*/false);
-}
-
-TEST_F(IncrTest, SpecConjunctStrengthenSalvagesThroughImplicationShared) {
-  strengthenSalvagesThroughImplication(/*Shared=*/true);
-}
-
-/// Deletes a pure post conjunct the proof established, then expects one
-/// re-proof and, on the run after it, a plain warm hit.
-void deleteOnUsedSideReverifies(bool Shared) {
-  VecEditRun R("spec_delete", Shared);
+TEST_F(IncrTest, SpecConjunctDeleteOnUsedSideReverifies) {
+  VecEditRun R("spec_delete");
   incr::IncrRunStats S1;
   for (const engine::VerifyReport &Rep : R.run(S1))
     ASSERT_TRUE(Rep.Ok) << Rep.Func;
@@ -963,14 +921,6 @@ void deleteOnUsedSideReverifies(bool Shared) {
     EXPECT_TRUE(Rep.Cached) << Rep.Func;
   EXPECT_EQ(S3.verified(), 0u);
   EXPECT_EQ(S3.Invalidated, 0u);
-}
-
-TEST_F(IncrTest, SpecConjunctDeleteOnUsedSideReverifies) {
-  deleteOnUsedSideReverifies(/*Shared=*/false);
-}
-
-TEST_F(IncrTest, SpecConjunctDeleteOnUsedSideReverifiesShared) {
-  deleteOnUsedSideReverifies(/*Shared=*/true);
 }
 
 //===----------------------------------------------------------------------===//

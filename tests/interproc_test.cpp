@@ -27,7 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <filesystem>
 
 using namespace gilr;
 using namespace gilr::analysis;
@@ -678,8 +678,8 @@ struct ChainBundle {
 };
 
 TEST(InterprocIncrTest, WarmAndEditedRunsRecomputeTheSameSummaries) {
-  std::string Path = ::testing::TempDir() + "gilr_interproc_summaries.prf";
-  std::remove(Path.c_str());
+  std::string Path = ::testing::TempDir() + "gilr_interproc_summaries_store";
+  std::filesystem::remove_all(Path);
   const std::vector<std::string> Names = {"a", "b", "c", "d"};
   sched::SchedulerConfig SC;
   incr::IncrConfig Inc;
@@ -711,12 +711,12 @@ TEST(InterprocIncrTest, WarmAndEditedRunsRecomputeTheSameSummaries) {
     EXPECT_EQ(IP.FnSummaries, 4u);
     EXPECT_EQ(V.lastAnalysis().renderJson(), Plain);
   }
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
 }
 
 TEST(InterprocIncrTest, TriagedVerdictsAreCountedButNeverStored) {
-  std::string Path = ::testing::TempDir() + "gilr_interproc_triage.prf";
-  std::remove(Path.c_str());
+  std::string Path = ::testing::TempDir() + "gilr_interproc_triage_store";
+  std::filesystem::remove_all(Path);
   sched::SchedulerConfig SC;
   incr::IncrConfig Inc;
   Inc.Enabled = true;
@@ -763,7 +763,7 @@ TEST(InterprocIncrTest, TriagedVerdictsAreCountedButNeverStored) {
     EXPECT_EQ(St.CachedUnsafe, 0u) << "run " << Run;
     EXPECT_EQ(St.VerifiedUnsafe, 0u) << "run " << Run;
   }
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,8 @@
 //    and foreign files to misses, enforces its size budget in LRU order
 //    (pinned keys exempt), and its GC is idempotent;
 //  * two backends over the same directory (two daemons, or a daemon and a
-//    CI job) share records without torn reads under concurrent get/put;
+//    CI job) share records under concurrent get/put, and a hit is never
+//    torn;
 //  * the gilr-server-v1 protocol round-trips requests and rejects
 //    malformed, unversioned and unknown-method lines;
 //  * the admission queue enforces per-client and global budgets and
@@ -49,8 +50,8 @@ std::string tempDir(const std::string &Name) {
   return Path;
 }
 
-/// A small but realistic blob: a ProofStore obligation record, the payload
-/// both cache levels share.
+/// A small but realistic blob: an obligation record (incr/ProofStore.h),
+/// the payload the store directory holds.
 std::string sampleBlob(const std::string &Name, uint64_t SelfFp) {
   incr::StoredObligation Ob;
   Ob.S = incr::Side::Unsafe;
@@ -143,6 +144,16 @@ TEST(SharedDirBackend, PutWithNewBytesReplacesTheRecord) {
   EXPECT_EQ(Got, New);
   EXPECT_EQ(B.stats().Puts, 2u);
   EXPECT_EQ(B.stats().PutsSkipped, 0u);
+
+  // The stored file is rewritten in place; a shorter record drops the
+  // longer one's tail, so it reads back intact.
+  ASSERT_TRUE(B.put(K, Old));
+  incr::SharedDirBackend Again(C);
+  ASSERT_TRUE(Again.get(K, Got));
+  EXPECT_EQ(Got, Old);
+  std::string Bytes;
+  ASSERT_TRUE(files::readFile(B.recordPath(K), Bytes, "record"));
+  EXPECT_EQ(Bytes.size(), Old.size() + 8 + 4 + 8 + 8 + 4 + 8);
 }
 
 TEST(SharedDirBackend, CorruptionAndForeignFilesReadAsMisses) {

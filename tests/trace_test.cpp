@@ -321,7 +321,9 @@ TEST_F(TraceTest, StatsJsonIsWellFormedAndCarriesCases) {
   R.Solver.SatQueries = 7;
   R.Solver.EntailQueries = 4;
   R.add("engine.paths", 3);
-  R.recordSolverLatencyNs(1500);
+  metrics::SolverQuerySample Q;
+  Q.DurationNs = 1500;
+  R.recordSolverQuery(Q);
   (void)R.noteEntailFingerprint(42);
   EXPECT_TRUE(R.noteEntailFingerprint(42)); // Second sighting: a repeat.
   {
@@ -335,6 +337,9 @@ TEST_F(TraceTest, StatsJsonIsWellFormedAndCarriesCases) {
   EXPECT_NE(J.find("\"entail_repeats\": 1"), std::string::npos);
   EXPECT_NE(J.find("\"engine.paths\": 3"), std::string::npos);
   EXPECT_NE(J.find("case-a"), std::string::npos);
+  // One latency histogram: the flight recorder's, inside solver_queries.
+  EXPECT_NE(J.find("\"latency_log2_ns\""), std::string::npos);
+  EXPECT_EQ(J.find("solver_latency_log2_ns"), std::string::npos);
 }
 
 TEST_F(TraceTest, SolverStatsDeltaArithmetic) {
@@ -365,12 +370,16 @@ TEST_F(TraceTest, RegistryResetClearsEverything) {
   metrics::Registry &R = metrics::Registry::get();
   R.Solver.SatQueries = 3;
   R.add("x", 2);
-  R.recordSolverLatencyNs(100);
+  metrics::SolverQuerySample Q;
+  Q.DurationNs = 100;
+  R.recordSolverQuery(Q);
   (void)R.noteEntailFingerprint(7);
   R.reset();
   EXPECT_EQ(R.Solver.SatQueries, 0u);
   EXPECT_TRUE(R.counters().empty());
-  for (uint64_t Bucket : R.latencyHistogram())
+  metrics::SolverQueriesReport FQ = R.solverQueriesReport();
+  EXPECT_FALSE(FQ.Valid);
+  for (uint64_t Bucket : FQ.Histogram)
     EXPECT_EQ(Bucket, 0u);
   // A fingerprint seen before reset is fresh again afterwards.
   EXPECT_FALSE(R.noteEntailFingerprint(7));
