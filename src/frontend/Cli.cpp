@@ -271,7 +271,7 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
                  ", \"implied\": " + std::to_string(Stats.Implied) +
                  ", \"salvage_queries\": " +
                  std::to_string(Stats.SalvageQueries) +
-                 ", \"shared_hits\": " + std::to_string(Stats.SharedHits) +
+                 ", \"shared_hits\": " + std::to_string(Stats.sharedHits()) +
                  ", \"shared_puts\": " + std::to_string(Stats.SharedPuts) +
                  "}, \"interproc\": {\"triaged_static\": " +
                  std::to_string(Stats.TriagedStatic) + "}";
@@ -287,7 +287,7 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
       Out << "incremental: " << Stats.cached() << " cached, "
           << Stats.verified() << " verified, " << Stats.Invalidated
           << " invalidated, " << Stats.Salvaged << " salvaged, "
-          << Stats.Implied << " implied, " << Stats.SharedHits
+          << Stats.Implied << " implied, " << Stats.sharedHits()
           << " shared hits, " << Stats.SharedPuts << " shared puts\n";
       Out << "interproc: " << Stats.TriagedStatic << " triaged static\n";
     }

@@ -17,8 +17,8 @@
 /// --incr-store`, several gilrd daemons and CI jobs alike: a record read
 /// while another process rewrites it, or torn by a crash, reads as a miss,
 /// never as a wrong verdict. Gets refresh the record's mtime so the
-/// size-budgeted GC evicts in LRU order; keys pinned during a run are never
-/// evicted by that run's GC.
+/// size-budgeted GC evicts in LRU order (to the minute); keys pinned during
+/// a run are never evicted by that run's GC.
 ///
 /// Blobs are the records of incr/ProofStore.h: obligation records under
 /// obligationCacheKey, and one solver-entry block under the reserved
@@ -32,6 +32,7 @@
 #include "incr/ProofStore.h"
 
 #include <cstdint>
+#include <ctime>
 #include <map>
 #include <mutex>
 #include <set>
@@ -99,16 +100,16 @@ struct SharedDirConfig {
 /// the file name the remaining 30. Each record file carries the magic
 /// "GILRCAS1", a format version, the full key (guarding against renamed or
 /// misplaced files) and an FNV-1a checksum over the payload; any mismatch
-/// reads as a miss. A new record goes to a unique temp file in the same
-/// directory and is renamed into place, so it appears whole; a stored
-/// record is overwritten in place, which is much cheaper than creating a
-/// file, and a reader that races the overwrite sees a checksum mismatch,
-/// i.e. a miss. A put whose bytes equal the stored record writes nothing.
-/// GC walks objects/, and while the payload total exceeds the budget
-/// evicts unpinned records oldest-mtime-first (gets refresh the mtime,
-/// making this LRU); it also removes temp files older than an hour
-/// (crashed writers). GC is idempotent: a second run with no intervening
-/// traffic evicts nothing.
+/// reads as a miss. A put writes the record file in place, creating it
+/// when missing, under an exclusive flock that makes concurrent writers of
+/// one key take turns; readers take no lock, and one that races a write
+/// sees a length or checksum mismatch, i.e. a miss. A put whose bytes
+/// equal the stored record writes nothing. GC walks objects/, and while
+/// the payload total exceeds the budget evicts unpinned records
+/// oldest-mtime-first (gets refresh an mtime older than a minute, making
+/// this LRU to the minute); it also removes temp files older than an
+/// hour, which older versions' crashed writers could leave. GC is
+/// idempotent: a second run with no intervening traffic evicts nothing.
 ///
 /// Thread-safe: scheduler workers and daemon request handlers call
 /// get/put/pin concurrently.
@@ -122,7 +123,8 @@ public:
   bool get(const CacheKey &K, std::string &Blob);
 
   /// Stores \p Blob under \p K, replacing a record with different bytes.
-  /// Returns false only on I/O failure; a put of the stored bytes writes
+  /// Returns false only on I/O failure; a put of the stored bytes (as this
+  /// instance last read or wrote them, else as the file holds them) writes
   /// nothing and succeeds.
   bool put(const CacheKey &K, const std::string &Blob);
 
@@ -141,13 +143,17 @@ public:
   std::string recordPath(const CacheKey &K) const;
 
 private:
+  /// Reads and checks the record file \p Path of \p K into \p Blob;
+  /// \p MTime receives the file's mtime.
   bool readRecordFile(const std::string &Path, const CacheKey &K,
-                      std::string &Blob) const;
+                      std::string &Blob, std::time_t &MTime) const;
   /// Puts \p Blob in the memory cache under \p K: replaces a held entry,
   /// adds a new one while there is room. Mu held.
   void remember(const CacheKey &K, const std::string &Blob);
 
   SharedDirConfig Cfg;
+  /// <Dir>/objects, the parent of every record's fan-out directory.
+  std::string ObjectsDir;
   mutable std::mutex Mu;
   std::set<CacheKey> Pinned;
   std::map<CacheKey, std::string> Mem;

@@ -65,6 +65,12 @@ public:
     Data += N;
     return true;
   }
+  /// Reads an element count, rejecting one that the bytes left could not
+  /// hold at \p MinBytes per element, so a malformed count never sizes a
+  /// container past the input.
+  bool count(uint32_t &N, std::size_t MinBytes) {
+    return u32(N) && N <= static_cast<std::size_t>(End - Data) / MinBytes;
+  }
   bool done() const { return Data == End; }
 
 private:
@@ -79,6 +85,13 @@ private:
   const char *Data;
   const char *End;
 };
+
+/// The fewest bytes one encoded element can take: a string (its length),
+/// a dependency (kind, name, fingerprint, signature flag) and a clause
+/// (role, purity flag, fingerprint, text).
+constexpr std::size_t StrBytes = 4;
+constexpr std::size_t DepBytes = 1 + StrBytes + 8 + 1;
+constexpr std::size_t ClauseBytes = 1 + 1 + 8 + StrBytes;
 
 } // namespace
 
@@ -117,7 +130,7 @@ bool gilr::incr::decodeObligationRecord(const std::string &Payload,
   uint8_t S;
   uint32_t NDeps;
   if (!R.u8(S) || S > static_cast<uint8_t>(Side::Lint) || !R.str(Ob.Name) ||
-      !R.u64(Ob.SelfFp) || !R.u64(Ob.ConfigFp) || !R.u32(NDeps))
+      !R.u64(Ob.SelfFp) || !R.u64(Ob.ConfigFp) || !R.count(NDeps, DepBytes))
     return false;
   Ob.S = static_cast<Side>(S);
   Ob.Deps.clear();
@@ -135,7 +148,7 @@ bool gilr::incr::decodeObligationRecord(const std::string &Payload,
     D.HasSig = HasSig != 0;
     if (D.HasSig) {
       uint32_t NClauses;
-      if (!R.u64(D.Sig.SkeletonFp) || !R.u32(NClauses))
+      if (!R.u64(D.Sig.SkeletonFp) || !R.count(NClauses, ClauseBytes))
         return false;
       D.Sig.Clauses.reserve(NClauses);
       for (uint32_t J = 0; J != NClauses; ++J) {
@@ -177,7 +190,7 @@ bool gilr::incr::decodeSolverBlock(const std::string &Payload,
                                    std::vector<SavedQueryVerdict> &Out) {
   Reader R(Payload);
   uint32_t N;
-  if (!R.u32(N))
+  if (!R.count(N, 8 + 8 + 1 + 8 + 8))
     return false;
   Out.clear();
   Out.reserve(N);
@@ -256,7 +269,8 @@ bool gilr::incr::decodeVerifyReport(const std::string &Blob,
   if (!R.str(Out.Func) || !R.u8(Ok) || !R.u8(TimedOut) || !R.f64(Out.Seconds))
     return false;
   uint32_t Paths, States, Ghosts;
-  if (!R.u32(Paths) || !R.u32(States) || !R.u32(Ghosts) || !R.u32(NErrors))
+  if (!R.u32(Paths) || !R.u32(States) || !R.u32(Ghosts) ||
+      !R.count(NErrors, StrBytes))
     return false;
   Out.Ok = Ok != 0;
   Out.TimedOut = TimedOut != 0;
@@ -268,7 +282,7 @@ bool gilr::incr::decodeVerifyReport(const std::string &Blob,
   for (std::string &E : Out.Errors)
     if (!R.str(E))
       return false;
-  if (!readSolverStats(R, Out.Solver) || !R.u32(NPhases))
+  if (!readSolverStats(R, Out.Solver) || !R.count(NPhases, StrBytes + 8 + 8))
     return false;
   Out.Phases.clear();
   Out.Phases.resize(NPhases);
@@ -309,7 +323,11 @@ bool gilr::incr::decodeLintVerdict(const std::string &Blob,
   Reader R(Blob);
   uint8_t Blocked;
   uint32_t NDiags;
-  if (!R.u8(Blocked) || !R.u64(Out.Suppressed) || !R.u32(NDiags))
+  // Code, severity, entity, block, stmt, message, note count, file, line,
+  // column.
+  if (!R.u8(Blocked) || !R.u64(Out.Suppressed) ||
+      !R.count(NDiags, StrBytes + 1 + StrBytes + 8 + 8 + StrBytes + 4 +
+                           StrBytes + 4 + 4))
     return false;
   Out.Blocked = Blocked != 0;
   Out.Diags.clear();
@@ -321,7 +339,7 @@ bool gilr::incr::decodeLintVerdict(const std::string &Blob,
     if (!R.str(D.Code) || !R.u8(Sev) ||
         Sev > static_cast<uint8_t>(analysis::Severity::Warning) ||
         !R.str(D.Entity) || !R.u64(Block) || !R.u64(Stmt) ||
-        !R.str(D.Message) || !R.u32(NNotes))
+        !R.str(D.Message) || !R.count(NNotes, StrBytes))
       return false;
     D.Sev = static_cast<analysis::Severity>(Sev);
     D.Block = static_cast<int>(static_cast<int64_t>(Block));
@@ -362,7 +380,7 @@ bool gilr::incr::decodeSafeReport(const std::string &Blob,
   uint8_t Ok, TimedOut;
   uint32_t NObl, NErrors;
   if (!R.str(Out.Func) || !R.u8(Ok) || !R.u8(TimedOut) ||
-      !R.f64(Out.Seconds) || !R.u32(NObl))
+      !R.f64(Out.Seconds) || !R.count(NObl, StrBytes + StrBytes + 1))
     return false;
   Out.Ok = Ok != 0;
   Out.TimedOut = TimedOut != 0;
@@ -374,7 +392,7 @@ bool gilr::incr::decodeSafeReport(const std::string &Blob,
       return false;
     O.Ok = OOk != 0;
   }
-  if (!R.u32(NErrors))
+  if (!R.count(NErrors, StrBytes))
     return false;
   Out.Errors.clear();
   Out.Errors.resize(NErrors);

@@ -3,6 +3,7 @@
 #include "incr/Session.h"
 
 #include "solver/Flight.h"
+#include "solver/Journal.h"
 #include "support/Trace.h"
 
 using namespace gilr;
@@ -100,11 +101,22 @@ const EntitySig &Session::currentSig(const DepKey &Key) {
   return SigMemo.emplace(Key, std::move(Sig)).first->second;
 }
 
-Session::DepsVerdict Session::checkDeps(const StoredObligation &Ob,
+void Session::resolveFormulas(EntitySig &Sig) {
+  for (ClauseSig &C : Sig.Clauses) {
+    if (!C.Pure || C.Formula || C.Text.empty())
+      continue;
+    auto [It, Fresh] = FormulaMemo.try_emplace(C.Text);
+    if (Fresh)
+      It->second = journal::exprFromJournal(C.Text);
+    C.Formula = It->second;
+  }
+}
+
+Session::DepsVerdict Session::checkDeps(StoredObligation &Ob,
                                         char FlightSide) {
   bool AnySalvage = false;
   std::vector<SalvageObligation> Queries;
-  for (const StoredDep &D : Ob.Deps) {
+  for (StoredDep &D : Ob.Deps) {
     if (currentFp(DepKey{D.K, D.Name}) == D.Fp)
       continue;
     // Lint verdicts never salvage: their diagnostics quote spec text, so a
@@ -112,6 +124,7 @@ Session::DepsVerdict Session::checkDeps(const StoredObligation &Ob,
     if (!Cfg.SemanticSalvage || Ob.S == Side::Lint || !D.HasSig)
       return DepsVerdict::Invalid;
     const EntitySig &Cur = currentSig(DepKey{D.K, D.Name});
+    resolveFormulas(D.Sig);
     // A proof is verified *against* its own spec and may also consume it at
     // recursive call sites; diffForSalvage then requires both directions.
     bool SelfDep = D.K == deps::Kind::Spec && D.Name == Ob.Name;
@@ -191,40 +204,47 @@ bool Session::lookup(Side S, const std::string &Name, uint64_t SelfFp,
       Ob.S != S || Ob.Name != Name || Ob.SelfFp != SelfFp ||
       Ob.ConfigFp != CfgFp)
     return false;
-  const char FlightSide = S == Side::Unsafe ? 'U' : S == Side::Safe ? 'S' : 'L';
-  DepsVerdict DV = checkDeps(Ob, FlightSide);
-  if (DV == DepsVerdict::Invalid) {
-    ++Stats.Invalidated;
-    return false;
-  }
+  // The caller's decoder touches no session state, so it runs before Mu
+  // is taken; the callers overwrite its output on a miss.
   if (!Decode(Ob.Blob))
     return false; // Malformed blob: treat as a miss, re-verify.
-  if (S == Side::Lint)
-    bump(Stats.CachedLint, "incr.lint_cached");
-  else
-    bump(S == Side::Unsafe ? Stats.CachedUnsafe : Stats.CachedSafe,
-         "incr.cached");
-  bump(Stats.SharedHits, "incr.shared_hits");
-  // The stored deps stay current (nothing changed), so the graph keeps
-  // answering dependentsOf precisely on warm runs too.
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob.Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  if (DV != DepsVerdict::Clean) {
-    if (DV == DepsVerdict::Implied)
-      bump(Stats.Implied, "incr.implied");
+  const char FlightSide = S == Side::Unsafe ? 'U' : S == Side::Safe ? 'S' : 'L';
+  std::optional<PendingPut> Refresh;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    DepsVerdict DV = checkDeps(Ob, FlightSide);
+    if (DV == DepsVerdict::Invalid) {
+      ++Stats.Invalidated;
+      return false;
+    }
+    if (S == Side::Lint)
+      bump(Stats.CachedLint, "incr.lint_cached");
     else
-      bump(Stats.Salvaged, "incr.salvaged");
-    put(S, Name, SelfFp, Deps, std::move(Ob.Blob));
+      bump(S == Side::Unsafe ? Stats.CachedUnsafe : Stats.CachedSafe,
+           "incr.cached");
+    // The stored deps stay current (nothing changed), so the graph keeps
+    // answering dependentsOf precisely on warm runs too.
+    std::set<DepKey> Deps;
+    for (const StoredDep &D : Ob.Deps)
+      Deps.insert(DepKey{D.K, D.Name});
+    if (DV != DepsVerdict::Clean) {
+      if (DV == DepsVerdict::Implied)
+        bump(Stats.Implied, "incr.implied");
+      else
+        bump(Stats.Salvaged, "incr.salvaged");
+      Refresh = encodeRecord(S, Name, SelfFp, Deps, std::move(Ob.Blob));
+    }
+    Graph.record(ObligationId{S, Name}, std::move(Deps));
   }
-  Graph.record(ObligationId{S, Name}, std::move(Deps));
+  write(Refresh);
   return true;
 }
 
-void Session::put(Side S, const std::string &Name, uint64_t SelfFp,
-                  const std::set<DepKey> &Deps, std::string Blob) {
+std::optional<Session::PendingPut>
+Session::encodeRecord(Side S, const std::string &Name, uint64_t SelfFp,
+                      const std::set<DepKey> &Deps, std::string Blob) {
   if (!Store)
-    return;
+    return std::nullopt;
   StoredObligation Ob;
   Ob.S = S;
   Ob.Name = Name;
@@ -232,20 +252,28 @@ void Session::put(Side S, const std::string &Name, uint64_t SelfFp,
   Ob.ConfigFp = S == Side::Lint ? LintConfigFp : ConfigFp;
   Ob.Deps = snapshotDeps(Deps);
   Ob.Blob = std::move(Blob);
-  CacheKey K = obligationCacheKey(S, Name, SelfFp, Ob.ConfigFp);
-  Store->pin(K);
-  Store->put(K, encodeObligationRecord(Ob));
   bump(Stats.SharedPuts, "incr.shared_puts");
+  return PendingPut{obligationCacheKey(S, Name, SelfFp, Ob.ConfigFp),
+                    encodeObligationRecord(Ob)};
+}
+
+void Session::write(const std::optional<PendingPut> &P) {
+  if (!P)
+    return;
+  Store->pin(P->K);
+  Store->put(P->K, P->Record);
 }
 
 bool Session::lookupUnsafe(const std::string &Func,
                            engine::VerifyReport &Out) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (!lookup(Side::Unsafe, Func,
-              currentFp(DepKey{deps::Kind::Function, Func}),
-              [&](const std::string &Blob) {
-                return decodeVerifyReport(Blob, Out);
-              }))
+  uint64_t SelfFp;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
+  }
+  if (!lookup(Side::Unsafe, Func, SelfFp, [&](const std::string &Blob) {
+        return decodeVerifyReport(Blob, Out);
+      }))
     return false;
   Out.Cached = true;
   return true;
@@ -254,17 +282,21 @@ bool Session::lookupUnsafe(const std::string &Func,
 void Session::recordUnsafe(const std::string &Func,
                            const std::set<DepKey> &Deps,
                            const engine::VerifyReport &R) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  bump(Stats.VerifiedUnsafe, "incr.verified");
-  Graph.record(ObligationId{Side::Unsafe, Func}, std::set<DepKey>(Deps));
-  if (R.TimedOut)
-    return; // Budget-degraded results are transient; never cache them.
-  put(Side::Unsafe, Func, currentFp(DepKey{deps::Kind::Function, Func}), Deps,
-      encodeVerifyReport(R));
+  std::optional<PendingPut> P;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    bump(Stats.VerifiedUnsafe, "incr.verified");
+    Graph.record(ObligationId{Side::Unsafe, Func}, std::set<DepKey>(Deps));
+    if (R.TimedOut)
+      return; // Budget-degraded results are transient; never cache them.
+    P = encodeRecord(Side::Unsafe, Func,
+                     currentFp(DepKey{deps::Kind::Function, Func}), Deps,
+                     encodeVerifyReport(R));
+  }
+  write(P);
 }
 
 bool Session::lookupSafe(const creusot::SafeFn &F, creusot::SafeReport &Out) {
-  std::lock_guard<std::mutex> Lock(Mu);
   if (!lookup(Side::Safe, F.Name, fpSafeFn(F), [&](const std::string &Blob) {
         return decodeSafeReport(Blob, Out);
       }))
@@ -276,21 +308,29 @@ bool Session::lookupSafe(const creusot::SafeFn &F, creusot::SafeReport &Out) {
 void Session::recordSafe(const creusot::SafeFn &F,
                          const std::set<DepKey> &Deps,
                          const creusot::SafeReport &R) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  bump(Stats.VerifiedSafe, "incr.verified");
-  Graph.record(ObligationId{Side::Safe, F.Name}, std::set<DepKey>(Deps));
-  if (R.TimedOut)
-    return;
-  put(Side::Safe, F.Name, fpSafeFn(F), Deps, encodeSafeReport(R));
+  std::optional<PendingPut> P;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    bump(Stats.VerifiedSafe, "incr.verified");
+    Graph.record(ObligationId{Side::Safe, F.Name}, std::set<DepKey>(Deps));
+    if (R.TimedOut)
+      return;
+    P = encodeRecord(Side::Safe, F.Name, fpSafeFn(F), Deps,
+                     encodeSafeReport(R));
+  }
+  write(P);
 }
 
 bool Session::lookupLint(const std::string &Func,
                          analysis::EntityVerdict &Out) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (!lookup(Side::Lint, Func, lintSelfFp(Func),
-              [&](const std::string &Blob) {
-                return decodeLintVerdict(Blob, Out);
-              }))
+  uint64_t SelfFp;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    SelfFp = lintSelfFp(Func);
+  }
+  if (!lookup(Side::Lint, Func, SelfFp, [&](const std::string &Blob) {
+        return decodeLintVerdict(Blob, Out);
+      }))
     return false;
   Out.Cached = true;
   return true;
@@ -299,10 +339,15 @@ bool Session::lookupLint(const std::string &Func,
 void Session::recordLint(const std::string &Func,
                          const std::set<DepKey> &Deps,
                          const analysis::EntityVerdict &V) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  bump(Stats.AnalyzedLint, "incr.lint_analyzed");
-  Graph.record(ObligationId{Side::Lint, Func}, std::set<DepKey>(Deps));
-  put(Side::Lint, Func, lintSelfFp(Func), Deps, encodeLintVerdict(V));
+  std::optional<PendingPut> P;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    bump(Stats.AnalyzedLint, "incr.lint_analyzed");
+    Graph.record(ObligationId{Side::Lint, Func}, std::set<DepKey>(Deps));
+    P = encodeRecord(Side::Lint, Func, lintSelfFp(Func), Deps,
+                     encodeLintVerdict(V));
+  }
+  write(P);
 }
 
 void Session::noteTriagedStatic() {
@@ -328,11 +373,13 @@ void Session::saveSolverEntries(std::vector<SavedQueryVerdict> Entries) {
 }
 
 bool Session::flush() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (!Store || !SolverBlock)
+  std::optional<std::string> Block;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Block.swap(SolverBlock);
+  }
+  if (!Store || !Block)
     return true;
   Store->pin(SolverBlockCacheKey);
-  bool Ok = Store->put(SolverBlockCacheKey, *SolverBlock);
-  SolverBlock.reset();
-  return Ok;
+  return Store->put(SolverBlockCacheKey, *Block);
 }

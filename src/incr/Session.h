@@ -97,12 +97,12 @@ struct IncrRunStats {
   uint64_t Implied = 0;
   /// Solver queries spent discharging salvage implications.
   uint64_t SalvageQueries = 0;
-  /// Records replayed from the store (proof and lint verdicts alike) and
-  /// records written to it (fresh verdicts and salvage refreshes).
-  uint64_t SharedHits = 0;
+  /// Records written to the store (fresh verdicts and salvage refreshes).
   uint64_t SharedPuts = 0;
 
   uint64_t cached() const { return CachedUnsafe + CachedSafe; }
+  /// Records replayed from the store, proof and lint verdicts alike.
+  uint64_t sharedHits() const { return cached() + CachedLint; }
   uint64_t verified() const { return VerifiedUnsafe + VerifiedSafe; }
   uint64_t salvaged() const { return Salvaged + Implied; }
 };
@@ -120,7 +120,9 @@ public:
   Session &operator=(const Session &) = delete;
 
   /// Returns true and fills \p Out (with \c Cached set) when the store
-  /// holds a still-valid verdict for unsafe obligation \p Func.
+  /// holds a still-valid verdict for unsafe obligation \p Func. On a miss
+  /// \p Out is unspecified (it may hold a rejected record's verdict); the
+  /// same holds for lookupSafe and lookupLint.
   bool lookupUnsafe(const std::string &Func, engine::VerifyReport &Out);
 
   /// Records a freshly computed unsafe verdict with the dependencies its
@@ -185,7 +187,11 @@ private:
     Implied,  ///< Some moved; the salvage implications all held.
     Invalid,  ///< Re-verify.
   };
-  DepsVerdict checkDeps(const StoredObligation &Ob, char FlightSide);
+  DepsVerdict checkDeps(StoredObligation &Ob, char FlightSide);
+  /// Gives the pure clauses of the stored signature \p Sig their formulas,
+  /// parsing each distinct journal text once per session: every dependent
+  /// of an edited spec carries the same old clauses. Mu held.
+  void resolveFormulas(EntitySig &Sig);
   std::vector<StoredDep> snapshotDeps(const std::set<DepKey> &Deps);
   /// The own fingerprint of \p Func's lint record: its body and its spec.
   uint64_t lintSelfFp(const std::string &Func);
@@ -193,13 +199,24 @@ private:
   /// Name, SelfFp, the side's configuration fingerprint), validates its
   /// dependencies, hands its blob to \p Decode and, on a salvage, rewrites
   /// the record under the current dependency fingerprints so the next run
-  /// takes the plain warm path. Mu held.
+  /// takes the plain warm path. Takes Mu for the session state only: the
+  /// store's file I/O runs outside it (the store has its own lock).
   bool lookup(Side S, const std::string &Name, uint64_t SelfFp,
               const std::function<bool(const std::string &)> &Decode);
-  /// Writes the record of a verdict with the dependencies it consulted (no
-  /// store: a no-op). Mu held.
-  void put(Side S, const std::string &Name, uint64_t SelfFp,
-           const std::set<DepKey> &Deps, std::string Blob);
+  /// A record ready for the store: its key and bytes.
+  struct PendingPut {
+    CacheKey K;
+    std::string Record;
+  };
+  /// Encodes the record of a verdict with the dependencies it consulted,
+  /// under the current fingerprints, and counts the put (no store:
+  /// nothing). Mu held; write() stores it once Mu is released.
+  std::optional<PendingPut> encodeRecord(Side S, const std::string &Name,
+                                         uint64_t SelfFp,
+                                         const std::set<DepKey> &Deps,
+                                         std::string Blob);
+  /// Pins and stores \p P (empty: a no-op). Mu not held.
+  void write(const std::optional<PendingPut> &P);
 
   IncrConfig Cfg;
   engine::VerifEnv &Env;
@@ -217,6 +234,7 @@ private:
   std::mutex Mu;
   std::map<DepKey, uint64_t> FpMemo;
   std::map<DepKey, EntitySig> SigMemo;
+  std::map<std::string, Expr> FormulaMemo;
 };
 
 } // namespace incr

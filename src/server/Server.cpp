@@ -365,7 +365,7 @@ void Server::runModule(
      << ", \"invalidated\": " << St.Invalidated
      << ", \"salvaged\": " << St.Salvaged << ", \"implied\": " << St.Implied
      << ", \"salvage_queries\": " << St.SalvageQueries
-     << ", \"shared_hits\": " << St.SharedHits
+     << ", \"shared_hits\": " << St.sharedHits()
      << ", \"shared_puts\": " << St.SharedPuts << "}"
      << ", \"interproc\": {\"triaged_static\": " << St.TriagedStatic << "}"
      << ", \"solver\": {\"sat_queries\": " << Delta.SatQueries.get()

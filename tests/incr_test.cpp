@@ -211,18 +211,27 @@ TEST_F(IncrTest, RecordCodecsRoundTrip) {
   EXPECT_EQ(Back[2].V.Branches, 9u);
   EXPECT_FALSE(incr::decodeSolverBlock(Block.substr(0, Block.size() - 1),
                                        Back));
+
+  // An element count the bytes left could not hold is malformed input, not
+  // a request to allocate: each decoder returns false.
+  const std::string Huge(4, '\xff');
+  EXPECT_FALSE(incr::decodeSolverBlock(Huge, Back));
+  incr::StoredObligation NoDeps;
+  NoDeps.Name = "f";
+  std::string Rec = incr::encodeObligationRecord(NoDeps);
+  Rec.replace(1 + 4 + 1 + 8 + 8, 4, Huge); // Side, name, fps, then NDeps.
+  EXPECT_FALSE(incr::decodeObligationRecord(Rec, Got));
+  std::string Rep = incr::encodeVerifyReport(sampleReport());
+  Rep.replace(4 + 1 + 1 + 1 + 8 + 4 * 3, 4, Huge); // Func .. ghosts, NErrors.
+  EXPECT_FALSE(incr::decodeVerifyReport(Rep, R));
 }
 
-/// The record file of unsafe obligation \p Func in the store at \p Path,
-/// under the fingerprints of \p Env.
-std::string unsafeRecordPath(const std::string &Path, engine::VerifEnv &Env,
-                             const std::string &Func) {
-  incr::SharedDirConfig SC;
-  SC.Dir = Path;
-  incr::SharedDirBackend B(SC);
-  return B.recordPath(incr::obligationCacheKey(
+/// The store key of unsafe obligation \p Func under the fingerprints of
+/// \p Env.
+incr::CacheKey unsafeKey(engine::VerifEnv &Env, const std::string &Func) {
+  return incr::obligationCacheKey(
       incr::Side::Unsafe, Func, incr::fpFunction(*Env.Prog.lookup(Func)),
-      incr::fpAutomation(Env.Auto, Env.Solv.MaxBranches)));
+      incr::fpAutomation(Env.Auto, Env.Solv.MaxBranches));
 }
 
 /// What runThroughSession observed.
@@ -441,15 +450,16 @@ TEST_F(IncrTest, CorruptStoreDegradesToColdRunWithoutError) {
   EXPECT_EQ(S1.verified(), Total);
 
   // Flip a payload byte of one record, truncate another and the solver
-  // block: each reads as a miss, only those two obligations re-verify, and
-  // their puts replace the broken files.
+  // block, and give a third a well-formed record file whose payload claims
+  // 2^32 - 1 dependencies: each reads as a miss, only those three
+  // obligations re-verify, and their puts replace the broken files.
   engine::VerifEnv Env = Lib->env();
-  std::string Flipped = unsafeRecordPath(Path, Env, Funcs[0]);
-  std::string Torn = unsafeRecordPath(Path, Env, Funcs[1]);
   incr::SharedDirConfig SC;
   SC.Dir = Path;
-  std::string Block =
-      incr::SharedDirBackend(SC).recordPath(incr::SolverBlockCacheKey);
+  incr::SharedDirBackend Store(SC);
+  std::string Flipped = Store.recordPath(unsafeKey(Env, Funcs[0]));
+  std::string Torn = Store.recordPath(unsafeKey(Env, Funcs[1]));
+  std::string Block = Store.recordPath(incr::SolverBlockCacheKey);
   std::string Good = readFileBytes(Flipped);
   ASSERT_FALSE(Good.empty());
   std::string Bad = Good;
@@ -461,12 +471,24 @@ TEST_F(IncrTest, CorruptStoreDegradesToColdRunWithoutError) {
     std::ofstream Out(File, std::ios::binary | std::ios::trunc);
     Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
   }
+  incr::CacheKey HugeKey = unsafeKey(Env, Funcs[2]);
+  std::string Payload;
+  incr::StoredObligation Ob;
+  ASSERT_TRUE(Store.get(HugeKey, Payload));
+  ASSERT_TRUE(incr::decodeObligationRecord(Payload, Ob));
+  Ob.Deps.clear();
+  Payload = incr::encodeObligationRecord(Ob);
+  Payload.replace(1 + 4 + Ob.Name.size() + 8 + 8, 4, std::string(4, '\xff'));
+  ASSERT_TRUE(Store.put(HugeKey, Payload));
   incr::IncrRunStats S2;
   ASSERT_TRUE(Run(S2));
-  EXPECT_EQ(S2.VerifiedUnsafe, 2u);
-  EXPECT_EQ(S2.cached(), Total - 2);
+  EXPECT_EQ(S2.VerifiedUnsafe, 3u);
+  EXPECT_EQ(S2.cached(), Total - 3);
   EXPECT_EQ(S2.Invalidated, 0u);
   EXPECT_NE(readFileBytes(Flipped), Bad);
+  std::string Replaced;
+  ASSERT_TRUE(incr::SharedDirBackend(SC).get(HugeKey, Replaced));
+  EXPECT_TRUE(incr::decodeObligationRecord(Replaced, Ob));
 
   incr::IncrRunStats S3;
   ASSERT_TRUE(Run(S3));

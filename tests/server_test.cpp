@@ -7,8 +7,8 @@
 //    and foreign files to misses, enforces its size budget in LRU order
 //    (pinned keys exempt), and its GC is idempotent;
 //  * two backends over the same directory (two daemons, or a daemon and a
-//    CI job) share records under concurrent get/put, and a hit is never
-//    torn;
+//    CI job) share records under concurrent get/put: a hit is never torn,
+//    and concurrent rewrites of one key leave one whole record;
 //  * the gilr-server-v1 protocol round-trips requests and rejects
 //    malformed, unversioned and unknown-method lines;
 //  * the admission queue enforces per-client and global budgets and
@@ -34,11 +34,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
+
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
 
 using namespace gilr;
 
@@ -280,6 +285,125 @@ TEST(SharedDirBackend, ConcurrentGetPutAcrossTwoBackends) {
     EXPECT_TRUE(A.get(K, Got)) << Name;
     EXPECT_TRUE(B.get(K, Got)) << Name;
   }
+}
+
+TEST(SharedDirBackend, ConcurrentRewritesOfOneKeyNeverServeAMix) {
+  // Two backends over one directory with no memory cache, so every get and
+  // put goes through the record files.
+  incr::SharedDirConfig C;
+  C.Dir = tempDir("rewrites");
+  C.MemCacheEntries = 0;
+  incr::SharedDirBackend A(C), B(C);
+
+  constexpr int Keys = 32;
+  constexpr int Variants = 3;
+  auto KeyOf = [](int I) {
+    return incr::obligationCacheKey(incr::Side::Unsafe,
+                                    "f" + std::to_string(I),
+                                    static_cast<uint64_t>(I), 2);
+  };
+  // Variant V of key I carries a verdict of 16 KiB * V bytes: every
+  // rewrite changes the record's length, and the long writes span several
+  // pages.
+  std::vector<std::vector<std::string>> Blobs(Keys);
+  for (int I = 0; I < Keys; ++I)
+    for (int V = 0; V < Variants; ++V) {
+      incr::StoredObligation Ob;
+      ASSERT_TRUE(incr::decodeObligationRecord(
+          sampleBlob("f" + std::to_string(I), static_cast<uint64_t>(I)), Ob));
+      Ob.Blob.append(std::size_t(V) << 14, static_cast<char>('a' + V));
+      Blobs[I].push_back(incr::encodeObligationRecord(Ob));
+    }
+  auto Written = [&](int I, const std::string &Got) {
+    return std::find(Blobs[I].begin(), Blobs[I].end(), Got) != Blobs[I].end();
+  };
+  std::atomic<int> Failed{0}, Mixed{0};
+
+  // Both backends rewrite every key with alternating lengths, walking the
+  // keys in step, while two readers get them: a hit is one whole record.
+  constexpr int Rounds = 8;
+  auto Writer = [&](incr::SharedDirBackend &Back, int Offset) {
+    for (int I = 0; I < Keys; ++I)
+      for (int R = 0; R < Rounds; ++R)
+        if (!Back.put(KeyOf(I), Blobs[I][(R + Offset) % Variants]))
+          ++Failed;
+  };
+  auto Reader = [&](incr::SharedDirBackend &Back) {
+    for (int I = 0; I < Keys; ++I)
+      for (int R = 0; R < Rounds; ++R) {
+        std::string Got;
+        // A get that races a write is a miss, never a mix.
+        if (Back.get(KeyOf(I), Got) && !Written(I, Got))
+          ++Mixed;
+      }
+  };
+  {
+    std::thread T1(Writer, std::ref(A), 0);
+    std::thread T2(Writer, std::ref(B), 1);
+    std::thread T3(Reader, std::ref(A));
+    std::thread T4(Reader, std::ref(B));
+    T1.join();
+    T2.join();
+    T3.join();
+    T4.join();
+  }
+  EXPECT_EQ(Failed.load(), 0);
+  EXPECT_EQ(Mixed.load(), 0);
+
+  // The writers took turns, so each file holds one writer's whole record.
+  incr::SharedDirBackend Fresh(C);
+  for (int I = 0; I < Keys; ++I) {
+    std::string Got;
+    ASSERT_TRUE(Fresh.get(KeyOf(I), Got)) << I;
+    EXPECT_TRUE(Written(I, Got)) << I;
+  }
+}
+
+TEST(SharedDirBackend, PutWaitsForAnotherWriterOfTheSameRecord) {
+  // Another process is mid-way through rewriting a record with a longer
+  // one: it holds the file's exclusive flock. A put of a shorter record
+  // must wait for it rather than cut the longer record with its
+  // truncation, and then leave its own whole record.
+  incr::SharedDirConfig C;
+  C.Dir = tempDir("turns");
+  C.MemCacheEntries = 0;
+  incr::SharedDirBackend B(C);
+  incr::CacheKey K = incr::obligationCacheKey(incr::Side::Unsafe, "f", 1, 2);
+  std::string Short = sampleBlob("f", 1);
+  incr::StoredObligation Ob;
+  ASSERT_TRUE(incr::decodeObligationRecord(Short, Ob));
+  Ob.Blob.append(4096, 'x');
+  std::string Long = incr::encodeObligationRecord(Ob);
+  ASSERT_TRUE(B.put(K, Long));
+  Ob.Blob.append(4096, 'y');
+  std::string Longer = incr::encodeObligationRecord(Ob);
+  // The other writer's file bytes: the same record format, from a store
+  // of its own.
+  incr::SharedDirConfig OtherC;
+  OtherC.Dir = tempDir("turns_other");
+  incr::SharedDirBackend Other(OtherC);
+  ASSERT_TRUE(Other.put(K, Longer));
+  std::string LongerFile;
+  ASSERT_TRUE(files::readFile(Other.recordPath(K), LongerFile, "record"));
+
+  int Fd = ::open(B.recordPath(K).c_str(), O_WRONLY);
+  ASSERT_GE(Fd, 0);
+  ASSERT_EQ(::flock(Fd, LOCK_EX), 0);
+  std::atomic<bool> Returned{false};
+  std::thread Writer([&] {
+    EXPECT_TRUE(B.put(K, Short));
+    Returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Returned.load()) << "the put did not wait for the lock";
+  EXPECT_EQ(::pwrite(Fd, LongerFile.data(), LongerFile.size(), 0),
+            static_cast<ssize_t>(LongerFile.size()));
+  ::close(Fd); // Releases the lock.
+  Writer.join();
+
+  std::string Got;
+  ASSERT_TRUE(incr::SharedDirBackend(C).get(K, Got));
+  EXPECT_EQ(Got, Short);
 }
 
 //===----------------------------------------------------------------------===//
