@@ -25,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "rustlib/LinkedList.h"
+#include "sched/Scheduler.h"
 #include "solver/Flight.h"
 #include "support/Files.h"
 #include "support/Json.h"
@@ -222,14 +223,12 @@ void mergeInterproc(const json::Value &V, TrendInput &T) {
     if (!NameV || !NameV->isString())
       continue;
     const std::string Base = "interproc." + NameV->Str;
-    // Summary counts and triage decisions are deterministic, so they gate;
-    // the phase's wall-time share is machine noise and only recorded.
+    // Summary counts are deterministic, so they gate; the phase's
+    // wall-time share is machine noise and only recorded.
     if (json::ValuePtr N = S->get("fn_summaries"))
       T.Metrics[Base + ".fn_summaries"] = N->numberOr(0);
     if (json::ValuePtr N = S->get("pred_summaries"))
       T.Metrics[Base + ".pred_summaries"] = N->numberOr(0);
-    if (json::ValuePtr N = S->get("triaged_static"))
-      T.Metrics[Base + ".triaged_static"] = N->numberOr(0);
   }
   if (json::ValuePtr N = V.get("summary_ratio"))
     T.Timings["interproc.summary_ratio"] = N->numberOr(0);
@@ -314,6 +313,9 @@ constexpr int FlightReps = 3;
 /// render is timed with the suite.
 double runFunctionalSuite(engine::VerifEnv &Env, int Reps,
                           const flight::Options *Journal) {
+  // Serial and memo-free: every repetition journals every query.
+  sched::SchedulerConfig NoMemo;
+  NoMemo.CacheCapacity = 0;
   flight::reset();
   double Secs = 0.0;
   for (int I = 0; I < Reps; ++I) {
@@ -322,7 +324,7 @@ double runFunctionalSuite(engine::VerifEnv &Env, int Reps,
     engine::Verifier V(Env);
     double T0 = nowSeconds();
     for (const engine::VerifyReport &R :
-         V.verifyAll(rustlib::functionalFunctions()))
+         V.verifyAll(rustlib::functionalFunctions(), NoMemo))
       if (!R.Ok)
         return -1.0;
     if (Journal)

@@ -1,20 +1,16 @@
 //===- bench/bench_interproc.cpp - Interprocedural summary phase overhead ---===//
 //
-// Measures the interprocedural summary phase (src/analysis/Interproc.h,
+// Measures the interprocedural summary phase (src/analysis/Summary.h,
 // docs/ANALYSIS.md) on two workloads:
 //
-//   * a generated multi-module program (call chains, triage-eligible
-//     constants, executor-proved arithmetic) where the static triage tier
-//     must discharge obligations without the executor — the run fails if
-//     `triaged_static` stays zero;
-//   * the LinkedList functional case study, where summaries buy nothing and
-//     the phase must stay cheap.
+//   * a generated multi-module program (call chains, straight-line
+//     constants, executor-proved arithmetic) with many small summaries;
+//   * the LinkedList functional case study.
 //
 // The headline gate is the aggregate wall-time ratio: the summary phase
-// (call graph + bottom-up fixpoint + triage walk) must stay under 5% of the
-// cold scheduled verification it runs inside. Exits non-zero if the ratio
-// is blown, any entity fails to verify, or the generated workload triages
-// nothing, so CI can gate on it.
+// (call graph + bottom-up fixpoint) must stay under 5% of the cold
+// scheduled verification it runs inside. Exits non-zero if the ratio is
+// blown or any entity fails to verify, so CI can gate on it.
 //
 // Usage: bench_interproc [out-file]
 //   default: BENCH_interproc.json
@@ -48,7 +44,7 @@ constexpr int Repetitions = 3;
 constexpr double RatioBudget = 0.05; // Summary phase <= 5% of cold verify.
 constexpr unsigned Modules = 6;
 
-/// A generated "module": three triage-eligible constants, an identity call
+/// A generated "module": three emp/emp constants, an identity call
 /// chain a -> b -> c (summaries with real depth, verified through call-site
 /// spec application), and one arithmetic function the executor must prove.
 /// Everything lives in one Program, name-spaced `m<K>::`.
@@ -103,7 +99,7 @@ struct GeneratedWorkload {
       addFn(B.finish());
       identitySpec(Name);
     };
-    auto addTriageEligible = [&](const std::string &Name) {
+    auto addConstant = [&](const std::string &Name) {
       FunctionBuilder B(Name, Prog.Types);
       B.setReturnType(U32);
       BlockId E = B.newBlock();
@@ -139,7 +135,7 @@ struct GeneratedWorkload {
     for (unsigned K = 0; K != Modules; ++K) {
       const std::string M = "m" + std::to_string(K) + "::";
       for (int I = 0; I != 3; ++I)
-        addTriageEligible(M + "konst" + std::to_string(I));
+        addConstant(M + "konst" + std::to_string(I));
       addIdentity(M + "c");
       addCaller(M + "b", M + "c");
       addCaller(M + "a", M + "b");
@@ -163,15 +159,13 @@ struct SuiteResult {
   double SummarySeconds = 0.0; ///< Summary phase share of that run.
   uint64_t FnSummaries = 0;
   uint64_t PredSummaries = 0;
-  uint64_t TriagedStatic = 0;
-  uint64_t RequiredTriaged = 0; ///< Minimum triaged_static this suite owes.
 
   double ratio() const {
     return TotalSeconds > 0.0 ? SummarySeconds / TotalSeconds : 0.0;
   }
-  /// The per-suite gate: everything verified and the triage floor met. The
-  /// wall-time budget is checked on the aggregate across suites.
-  bool ok() const { return VerifyOk && TriagedStatic >= RequiredTriaged; }
+  /// The per-suite gate: everything verified. The wall-time budget is
+  /// checked on the aggregate across suites.
+  bool ok() const { return VerifyOk; }
 };
 
 double now() {
@@ -184,12 +178,10 @@ double now() {
 /// keeps the fastest total. The interproc counters are deterministic (the
 /// determinism contract), so they come from the last repetition.
 SuiteResult measure(const std::string &Name, std::size_t Entities,
-                    uint64_t RequiredTriaged,
                     const std::function<bool()> &RunOnce) {
   SuiteResult S;
   S.Name = Name;
   S.Entities = Entities;
-  S.RequiredTriaged = RequiredTriaged;
   for (int Rep = 0; Rep != Repetitions; ++Rep) {
     metrics::Registry::get().reset();
     double Start = now();
@@ -203,7 +195,6 @@ SuiteResult measure(const std::string &Name, std::size_t Entities,
     }
     S.FnSummaries = IP.FnSummaries;
     S.PredSummaries = IP.PredSummaries;
-    S.TriagedStatic = IP.TriagedStatic;
   }
   return S;
 }
@@ -223,7 +214,6 @@ std::string renderSuite(const SuiteResult &S) {
   Out += ", \"summary_ratio\": " + fmt(S.ratio(), "%.4f");
   Out += ",\n     \"fn_summaries\": " + std::to_string(S.FnSummaries);
   Out += ", \"pred_summaries\": " + std::to_string(S.PredSummaries);
-  Out += ", \"triaged_static\": " + std::to_string(S.TriagedStatic);
   return Out + "}";
 }
 
@@ -233,11 +223,9 @@ void printSuite(const SuiteResult &S) {
   std::printf(
       "  cold verify %8.3fs, summary phase %6.4fs (%.2f%%, budget %.0f%%)\n",
       S.TotalSeconds, S.SummarySeconds, 1e2 * S.ratio(), 1e2 * RatioBudget);
-  std::printf("  summaries: %llu fn, %llu pred; %llu obligation(s) triaged "
-              "static\n",
+  std::printf("  summaries: %llu fn, %llu pred\n",
               static_cast<unsigned long long>(S.FnSummaries),
-              static_cast<unsigned long long>(S.PredSummaries),
-              static_cast<unsigned long long>(S.TriagedStatic));
+              static_cast<unsigned long long>(S.PredSummaries));
 }
 
 } // namespace
@@ -248,42 +236,36 @@ int main(int argc, char **argv) {
   std::vector<SuiteResult> Suites;
 
   {
-    // The generated multi-module workload owes 3 triaged obligations per
-    // module — one per emp/emp constant.
     GeneratedWorkload W;
-    Suites.push_back(
-        measure("generated-multimodule", W.Names.size(), 3 * Modules, [&]() {
-          VerifEnv Env = W.env();
-          Verifier V(Env);
-          sched::SchedulerConfig C;
-          bool Ok = true;
-          for (const VerifyReport &R : V.verifyAll(W.Names, C))
-            Ok = Ok && R.Ok;
-          return Ok;
-        }));
+    Suites.push_back(measure("generated-multimodule", W.Names.size(), [&]() {
+      VerifEnv Env = W.env();
+      Verifier V(Env);
+      sched::SchedulerConfig C;
+      bool Ok = true;
+      for (const VerifyReport &R : V.verifyAll(W.Names, C))
+        Ok = Ok && R.Ok;
+      return Ok;
+    }));
     printSuite(Suites.back());
   }
 
   {
     auto Lib = rustlib::buildLinkedListLib(rustlib::SpecMode::Functional);
     std::vector<std::string> Funcs = rustlib::functionalFunctions();
-    Suites.push_back(
-        measure("linkedlist-functional", Funcs.size(), /*RequiredTriaged=*/0,
-                [&]() {
-                  VerifEnv Env = Lib->env();
-                  Verifier V(Env);
-                  sched::SchedulerConfig C;
-                  bool Ok = true;
-                  for (const VerifyReport &R : V.verifyAll(Funcs, C))
-                    Ok = Ok && R.Ok;
-                  return Ok;
-                }));
+    Suites.push_back(measure("linkedlist-functional", Funcs.size(), [&]() {
+      VerifEnv Env = Lib->env();
+      Verifier V(Env);
+      sched::SchedulerConfig C;
+      bool Ok = true;
+      for (const VerifyReport &R : V.verifyAll(Funcs, C))
+        Ok = Ok && R.Ok;
+      return Ok;
+    }));
     printSuite(Suites.back());
   }
 
   bool AllOk = true;
   double SumTotal = 0.0, SumSummary = 0.0;
-  uint64_t TotalTriaged = 0;
   std::string Json = "{\n  \"bench\": \"interprocedural-summaries\"";
   Json += ",\n  \"ratio_budget\": " + fmt(RatioBudget, "%.2f");
   Json += ",\n  \"suites\": [\n";
@@ -291,15 +273,13 @@ int main(int argc, char **argv) {
     AllOk = AllOk && Suites[I].ok();
     SumTotal += Suites[I].TotalSeconds;
     SumSummary += Suites[I].SummarySeconds;
-    TotalTriaged += Suites[I].TriagedStatic;
     Json += renderSuite(Suites[I]);
     Json += I + 1 != Suites.size() ? ",\n" : "\n";
   }
   const double AggRatio = SumTotal > 0.0 ? SumSummary / SumTotal : 0.0;
   const bool WithinBudget = AggRatio <= RatioBudget;
-  AllOk = AllOk && WithinBudget && TotalTriaged > 0;
+  AllOk = AllOk && WithinBudget;
   Json += "  ],\n  \"summary_ratio\": " + fmt(AggRatio, "%.4f") +
-          ",\n  \"triaged_static\": " + std::to_string(TotalTriaged) +
           ",\n  \"within_budget\": " + (WithinBudget ? "true" : "false") +
           ",\n  \"ok\": " + (AllOk ? "true" : "false") + "\n}\n";
 
@@ -310,9 +290,7 @@ int main(int argc, char **argv) {
   }
   std::fwrite(Json.data(), 1, Json.size(), F);
   std::fclose(F);
-  std::printf("wrote %s (aggregate summary ratio %.2f%%, budget %.0f%%, "
-              "%llu triaged)\n",
-              OutFile.c_str(), 1e2 * AggRatio, 1e2 * RatioBudget,
-              static_cast<unsigned long long>(TotalTriaged));
+  std::printf("wrote %s (aggregate summary ratio %.2f%%, budget %.0f%%)\n",
+              OutFile.c_str(), 1e2 * AggRatio, 1e2 * RatioBudget);
   return AllOk ? 0 : 1;
 }

@@ -44,7 +44,7 @@ struct SuiteResult {
   std::string Name;
   std::size_t Jobs = 0;
   std::vector<RunResult> Runs;
-  /// Serial run with the cache disabled: the pre-scheduler baseline.
+  /// Serial run with the cache disabled: the memo-free baseline.
   double UncachedSeconds = 0.0;
   /// Second run on the same scheduler (4 threads): the cache is warm, so
   /// repeated obligations are answered without re-running the DPLL search.

@@ -13,6 +13,7 @@
 
 #include "rustlib/LinkedList.h"
 #include "rustlib/Vec.h"
+#include "sched/Scheduler.h"
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
 #include "support/Trace.h"
@@ -44,8 +45,12 @@ CaseResult runCase(const std::string &Name, engine::VerifEnv Env,
   auto Start = std::chrono::steady_clock::now();
   {
     GILR_TRACE_SCOPE_D("bench", "case", Name);
+    // Serial and memo-free: the counters are the case's own solver work,
+    // comparable across runs and with the committed record.
+    sched::SchedulerConfig NoMemo;
+    NoMemo.CacheCapacity = 0;
     engine::Verifier V(Env);
-    for (const engine::VerifyReport &R : V.verifyAll(Funcs)) {
+    for (const engine::VerifyReport &R : V.verifyAll(Funcs, NoMemo)) {
       ++C.Functions;
       C.Paths += R.PathsCompleted;
       C.Ok = C.Ok && R.Ok;

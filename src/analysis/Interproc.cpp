@@ -1,4 +1,4 @@
-//===- analysis/Interproc.cpp - Triage predicate and W009/W010 -------------===//
+//===- analysis/Interproc.cpp - Summary-powered lints W009/W010 -----------===//
 
 #include "analysis/Interproc.h"
 
@@ -9,143 +9,6 @@
 
 using namespace gilr;
 using namespace gilr::analysis;
-
-namespace {
-
-/// Recursively emp: a Star whose parts are all emp (gilsonite::emp() is the
-/// empty Star). Anything else — including Exists-wrapped emp — is not
-/// "trivially" emp; the executor would have work to do.
-bool isEmp(const gilsonite::AssertionP &A) {
-  if (!A || A->Kind != gilsonite::AsrtKind::Star)
-    return false;
-  for (const gilsonite::AssertionP &P : A->Parts)
-    if (!isEmp(P))
-      return false;
-  return true;
-}
-
-/// Scalar types whose validity invariant is trivially satisfiable and whose
-/// values the executor moves without solver work.
-bool isScalar(rmir::TypeRef Ty) {
-  if (!Ty)
-    return false;
-  switch (Ty->Kind) {
-  case rmir::TypeKind::Bool:
-  case rmir::TypeKind::Int:
-  case rmir::TypeKind::Unit:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isPlainLocal(const rmir::Place &P, std::size_t NumLocals) {
-  return P.Elems.empty() && P.Local < NumLocals;
-}
-
-/// A comparison operator: the executor evaluates it without an in-range
-/// obligation (engine/Executor.cpp's checked-arithmetic split).
-bool isComparison(rmir::BinOp Op) {
-  switch (Op) {
-  case rmir::BinOp::Eq:
-  case rmir::BinOp::Ne:
-  case rmir::BinOp::Lt:
-  case rmir::BinOp::Le:
-  case rmir::BinOp::Gt:
-  case rmir::BinOp::Ge:
-    return true;
-  default:
-    return false;
-  }
-}
-
-} // namespace
-
-bool gilr::analysis::triviallyStatic(const rmir::Function &F,
-                                     const gilsonite::Spec &S,
-                                     const SummaryTable &T) {
-  if (S.Trusted || !S.SpecVars.empty())
-    return false;
-  if (!isEmp(S.Pre) || !isEmp(S.Post))
-    return false;
-  if (F.Blocks.empty() || F.Locals.empty() ||
-      F.Locals.size() < 1 + static_cast<std::size_t>(F.NumParams))
-    return false;
-
-  const FnSummary *Sum = T.fn(F.Name);
-  if (!Sum || !Sum->Known || !Sum->Leaf || !Sum->Pure || Sum->Recursive ||
-      Sum->HasGhost || Sum->HasCheckedArith || Sum->HasUnreachable)
-    return false;
-
-  for (const rmir::Local &L : F.Locals)
-    if (!isScalar(L.Ty))
-      return false;
-
-  // Straight-line walk mirroring the executor: Goto/Return only, each
-  // block at most once, statements confined to the query-free subset, and
-  // a definite-initialization simulation that accepts exactly when
-  // execReturn cannot fail.
-  std::set<rmir::BlockId> Visited;
-  std::set<rmir::LocalId> Init;
-  for (unsigned I = 0; I != F.NumParams; ++I)
-    Init.insert(1 + I);
-
-  rmir::BlockId B = 0;
-  for (;;) {
-    if (B >= F.Blocks.size() || !Visited.insert(B).second)
-      return false;
-    const rmir::BasicBlock &BB = F.Blocks[B];
-    for (const rmir::Statement &St : BB.Stmts) {
-      switch (St.Kind) {
-      case rmir::Statement::Nop:
-        continue;
-      case rmir::Statement::Assign:
-        break;
-      default:
-        return false;
-      }
-      if (!isPlainLocal(St.Dest, F.Locals.size()))
-        return false;
-      const rmir::Rvalue &RV = St.RV;
-      switch (RV.Kind) {
-      case rmir::Rvalue::Use:
-        break;
-      case rmir::Rvalue::BinaryOp:
-        if (!isComparison(RV.BOp))
-          return false;
-        break;
-      case rmir::Rvalue::UnaryOp:
-        if (RV.UOp != rmir::UnOp::Not)
-          return false;
-        break;
-      default:
-        return false;
-      }
-      for (const rmir::Operand &Op : RV.Ops) {
-        if (Op.Kind == rmir::Operand::Const) {
-          if (!Op.ConstVal || !Op.ConstTy)
-            return false;
-          continue;
-        }
-        if (!isPlainLocal(Op.P, F.Locals.size()) || !Init.count(Op.P.Local))
-          return false;
-        if (Op.Kind == rmir::Operand::Move)
-          Init.erase(Op.P.Local);
-      }
-      Init.insert(St.Dest.Local);
-    }
-    switch (BB.Term.Kind) {
-    case rmir::Terminator::Goto:
-      B = BB.Term.Target;
-      continue;
-    case rmir::Terminator::Return:
-      return Init.count(0) ||
-             F.returnType()->Kind == rmir::TypeKind::Unit;
-    default:
-      return false;
-    }
-  }
-}
 
 void gilr::analysis::checkUnsafeEscape(const rmir::Function &F,
                                        const gilsonite::Spec *CallerSpec,

@@ -1,17 +1,8 @@
-//===- analysis/Interproc.h - Triage + summary-powered lint passes ---------===//
+//===- analysis/Interproc.h - Summary-powered lint passes -----------------===//
 ///
 /// \file
 /// The consumers of the interprocedural summaries (analysis/Summary.h) that
 /// live in the analysis layer:
-///
-///  * \c triviallyStatic — the triage predicate of the scheduler's static
-///    tier. An obligation it accepts is *provably* discharged by the
-///    executor with a successful verdict, so the drivers skip symbolic
-///    execution and report a `static` verdict instead (counted separately;
-///    byte-stable across worker counts because the predicate is a pure
-///    function of the program). The conditions deliberately mirror
-///    engine/Executor.cpp step by step — every admitted body takes the
-///    executor's only failure-free path.
 ///
 ///  * \c checkUnsafeEscape (GILR-W009) — a call site whose callee's unsafe
 ///    surface escapes (raw-pointer operations, transitively, with no
@@ -37,15 +28,6 @@
 
 namespace gilr {
 namespace analysis {
-
-/// True when the executor is guaranteed to verify \p F against \p S
-/// successfully without ever consulting the solver beyond the initial
-/// viability check: a pure, non-recursive, call-free, ghost-free,
-/// straight-line body over scalar locals with an emp/emp spec and a
-/// definitely-initialized return. Conservative: false whenever any
-/// condition cannot be established syntactically.
-bool triviallyStatic(const rmir::Function &F, const gilsonite::Spec &S,
-                     const SummaryTable &T);
 
 /// GILR-W009: \p F (which has no spec — pass the caller's spec lookup
 /// result as \p CallerSpec) calls a function whose summary says its unsafe

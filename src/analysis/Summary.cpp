@@ -9,32 +9,6 @@
 using namespace gilr;
 using namespace gilr::analysis;
 
-bool FnSummary::operator==(const FnSummary &O) const {
-  return Known == O.Known && Recursive == O.Recursive && Leaf == O.Leaf &&
-         Pure == O.Pure && HeapReads == O.HeapReads &&
-         HeapWrites == O.HeapWrites && UnsafeOps == O.UnsafeOps &&
-         UnsafeEscapes == O.UnsafeEscapes && HasGhost == O.HasGhost &&
-         HasCheckedArith == O.HasCheckedArith &&
-         HasUnreachable == O.HasUnreachable &&
-         HasLemmaApply == O.HasLemmaApply && WritesReturn == O.WritesReturn &&
-         Params == O.Params && MayAliasParams == O.MayAliasParams &&
-         DepFns == O.DepFns && DepPreds == O.DepPreds;
-}
-
-FnSummary FnSummary::top(unsigned NumParams) {
-  FnSummary S;
-  S.Known = false;
-  S.Pure = false;
-  S.HeapReads = S.HeapWrites = S.UnsafeOps = S.UnsafeEscapes = true;
-  S.HasGhost = S.HasCheckedArith = S.HasUnreachable = true;
-  S.WritesReturn = true;
-  S.Params.assign(NumParams, ParamEffect{true, true, true});
-  for (unsigned I = 0; I < NumParams; ++I)
-    for (unsigned J = I + 1; J < NumParams; ++J)
-      S.MayAliasParams.emplace_back(I, J);
-  return S;
-}
-
 PredSummary PredSummary::top(std::size_t NumParams) {
   PredSummary S;
   S.Known = false;
@@ -87,337 +61,88 @@ bool derefsRawPointer(const rmir::Function &F, const rmir::Place &P) {
   return false;
 }
 
-bool placeHasDeref(const rmir::Place &P) {
-  for (const rmir::PlaceElem &E : P.Elems)
-    if (E.Kind == rmir::PlaceElem::Deref)
-      return true;
-  return false;
+/// An operand read through a raw pointer.
+bool derefsRawPointer(const rmir::Function &F, const rmir::Operand &Op) {
+  return Op.Kind != rmir::Operand::Const && derefsRawPointer(F, Op.P);
 }
 
-/// The intraprocedural effect walk of one body: the alias-propagation idiom
-/// of FrameLint's TouchAnalysis, widened from a single "touched" bit to
-/// read/write/escape effects per parameter root, heap/unsafe facts, and
-/// callee summary application.
-class EffectAnalysis {
-public:
-  EffectAnalysis(const rmir::Function &F, const SummaryTable &T,
-                 const Scc &Group)
-      : F(F), Table(T), Group(Group) {
-    Aliases.resize(F.Locals.size());
-    for (unsigned I = 0; I != F.NumParams && 1 + I < F.Locals.size(); ++I) {
-      Aliases[1 + I].insert(1 + I);
-      ParamByName[F.Locals[1 + I].Name] = 1 + I;
-    }
-    Effects.resize(F.Locals.size());
-  }
+/// Any of \p Ops read through a raw pointer.
+bool anyDerefsRawPointer(const rmir::Function &F,
+                         const std::vector<rmir::Operand> &Ops) {
+  return std::any_of(Ops.begin(), Ops.end(), [&](const rmir::Operand &Op) {
+    return derefsRawPointer(F, Op);
+  });
+}
 
-  void run(FnSummary &Out) {
-    // Alias sets and effect bits only grow, bounded by the local count, so
-    // |Locals|+2 passes reach the fixpoint (the TouchAnalysis bound).
-    for (std::size_t Pass = 0; Pass != F.Locals.size() + 2; ++Pass) {
-      Changed = false;
-      for (const rmir::BasicBlock &B : F.Blocks) {
-        for (const rmir::Statement &S : B.Stmts)
-          visitStatement(S);
-        visitTerminator(B.Term);
-      }
-      if (!Changed)
-        break;
-    }
-    finish(Out);
-  }
+/// Whether the callee \p Name's unsafe surface escapes into its callers:
+/// computed SCCs answer from the table; a not-yet-computed member of the
+/// *current* SCC seeds optimistically (no escape) so the enclosing
+/// fixpoint converges to the least solution; a function the program does
+/// not contain escapes.
+bool calleeEscapes(const std::string &Name, const SummaryTable &T,
+                   const Scc &Group) {
+  if (const FnSummary *S = T.fn(Name))
+    return S->UnsafeEscapes;
+  return !std::binary_search(Group.Members.begin(), Group.Members.end(),
+                             Name);
+}
 
-private:
-  static const std::set<rmir::LocalId> &emptySet() {
-    static const std::set<rmir::LocalId> Empty;
-    return Empty;
-  }
-
-  const std::set<rmir::LocalId> &rootsOf(rmir::LocalId L) const {
-    return L < Aliases.size() ? Aliases[L] : emptySet();
-  }
-
-  void effect(rmir::LocalId Via, bool Read, bool Write, bool Escape) {
-    for (rmir::LocalId R : rootsOf(Via)) {
-      ParamEffect &E = Effects[R];
-      if (Read && !E.Read)
-        Changed = E.Read = true;
-      if (Write && !E.Written)
-        Changed = E.Written = true;
-      if (Escape && !E.Escaped)
-        Changed = E.Escaped = true;
-    }
-  }
-
-  void propagate(rmir::LocalId Dest, rmir::LocalId Src) {
-    if (Dest >= Aliases.size())
-      return;
-    for (rmir::LocalId R : rootsOf(Src))
-      Changed |= Aliases[Dest].insert(R).second;
-  }
-
-  /// A place read as a value: a deref reads through the base local.
-  void readPlace(const rmir::Place &P) {
-    if (placeHasDeref(P)) {
-      HeapReads = true;
-      effect(P.Local, /*Read=*/true, false, false);
-      if (derefsRawPointer(F, P))
-        UnsafeOps = true;
-    }
-  }
-
-  void readOperand(const rmir::Operand &Op) {
-    if (Op.Kind != rmir::Operand::Const)
-      readPlace(Op.P);
-  }
-
-  /// Source roots of an operand escape (stored to heap, returned, passed
-  /// on).
-  void escapeOperand(const rmir::Operand &Op) {
-    if (Op.Kind != rmir::Operand::Const)
-      effect(Op.P.Local, false, false, /*Escape=*/true);
-  }
-
-  /// The callee summary visible at a call site: computed SCCs answer from
-  /// the table; a not-yet-computed member of the *current* SCC seeds
-  /// optimistically (bottom for may-facts, pure for the must-fact) so the
-  /// enclosing fixpoint converges to the least solution; anything else is
-  /// top.
-  FnSummary calleeSummary(const std::string &Name,
-                          std::size_t NumArgs) const {
-    if (const FnSummary *S = Table.fn(Name))
-      return *S;
-    if (std::binary_search(Group.Members.begin(), Group.Members.end(),
-                           Name)) {
-      FnSummary Seed;
-      Seed.Known = true;
-      Seed.Pure = true;
-      Seed.Leaf = true;
-      Seed.Params.resize(NumArgs);
-      return Seed;
-    }
-    return FnSummary::top(static_cast<unsigned>(NumArgs));
-  }
-
-  void visitStatement(const rmir::Statement &S) {
-    switch (S.Kind) {
-    case rmir::Statement::Assign: {
-      // Destination: a projected write goes through the base local.
-      if (placeHasDeref(S.Dest)) {
-        HeapWrites = true;
-        effect(S.Dest.Local, false, /*Write=*/true, false);
-        if (derefsRawPointer(F, S.Dest))
-          UnsafeOps = true;
-        // Values stored through the heap escape the frame.
-        for (const rmir::Operand &Op : S.RV.Ops)
-          escapeOperand(Op);
-        if (S.RV.Kind == rmir::Rvalue::RefOf ||
-            S.RV.Kind == rmir::Rvalue::AddrOf)
-          effect(S.RV.P.Local, false, false, /*Escape=*/true);
-      }
-      for (const rmir::Operand &Op : S.RV.Ops)
-        readOperand(Op);
-      switch (S.RV.Kind) {
-      case rmir::Rvalue::BinaryOp:
-        if (S.RV.BOp == rmir::BinOp::Add || S.RV.BOp == rmir::BinOp::Sub ||
-            S.RV.BOp == rmir::BinOp::Mul)
-          HasCheckedArith = true;
-        break;
-      case rmir::Rvalue::UnaryOp:
-        if (S.RV.UOp == rmir::UnOp::Neg)
-          HasCheckedArith = true;
-        break;
-      case rmir::Rvalue::Discriminant:
-      case rmir::Rvalue::RefOf:
-        readPlace(S.RV.P);
-        break;
-      case rmir::Rvalue::AddrOf:
-        readPlace(S.RV.P);
-        UnsafeOps = true;
-        break;
-      case rmir::Rvalue::PtrOffset:
-        UnsafeOps = true;
-        break;
-      default:
-        break;
-      }
-      if (S.Dest.Elems.empty()) {
-        for (const rmir::Operand &Op : S.RV.Ops)
-          if (Op.Kind != rmir::Operand::Const)
-            propagate(S.Dest.Local, Op.P.Local);
+/// The body facts of \p F in one flow-insensitive pass: its own raw-pointer
+/// operations, its lemma applications, and the unsafe surface its callees
+/// let escape into it. The caller applies spec containment.
+void scanBody(const rmir::Function &F, const SummaryTable &T,
+              const Scc &Group, FnSummary &Out) {
+  bool CalleeUnsafe = false;
+  for (const rmir::BasicBlock &B : F.Blocks) {
+    for (const rmir::Statement &S : B.Stmts) {
+      switch (S.Kind) {
+      case rmir::Statement::Assign:
+        if (derefsRawPointer(F, S.Dest) || anyDerefsRawPointer(F, S.RV.Ops))
+          Out.UnsafeOps = true;
         switch (S.RV.Kind) {
         case rmir::Rvalue::Discriminant:
         case rmir::Rvalue::RefOf:
+          if (derefsRawPointer(F, S.RV.P))
+            Out.UnsafeOps = true;
+          break;
         case rmir::Rvalue::AddrOf:
-          propagate(S.Dest.Local, S.RV.P.Local);
+        case rmir::Rvalue::PtrOffset:
+          Out.UnsafeOps = true;
           break;
         default:
           break;
         }
-        if (S.Dest.Local == 0) {
-          WritesReturn = true;
-          for (const rmir::Operand &Op : S.RV.Ops)
-            escapeOperand(Op);
-          switch (S.RV.Kind) {
-          case rmir::Rvalue::Discriminant:
-          case rmir::Rvalue::RefOf:
-          case rmir::Rvalue::AddrOf:
-            effect(S.RV.P.Local, false, false, /*Escape=*/true);
-            break;
-          default:
-            break;
-          }
-        }
+        break;
+      case rmir::Statement::Alloc:
+      case rmir::Statement::Free:
+        Out.UnsafeOps = true;
+        break;
+      case rmir::Statement::GhostStmt:
+        if (S.G.Kind == rmir::GhostKind::ApplyLemma)
+          Out.HasLemmaApply = true;
+        break;
+      case rmir::Statement::Nop:
+        break;
       }
-      break;
     }
-    case rmir::Statement::Alloc:
-      UnsafeOps = true;
-      HeapWrites = true;
-      if (placeHasDeref(S.Dest)) {
-        effect(S.Dest.Local, false, /*Write=*/true, false);
-        if (derefsRawPointer(F, S.Dest))
-          UnsafeOps = true;
-      }
-      break;
-    case rmir::Statement::Free:
-      UnsafeOps = true;
-      HeapWrites = true;
-      if (S.FreeArg.Kind != rmir::Operand::Const)
-        effect(S.FreeArg.P.Local, false, /*Write=*/true, /*Escape=*/true);
-      break;
-    case rmir::Statement::GhostStmt: {
-      HasGhost = true;
-      if (S.G.Kind == rmir::GhostKind::ApplyLemma)
-        HasLemmaApply = true;
-      // A proof step about a parameter's memory consults it.
-      for (const rmir::Operand &Op : S.G.Args)
-        if (Op.Kind != rmir::Operand::Const)
-          effect(Op.P.Local, /*Read=*/true, false, false);
-      std::set<std::string> Vars;
-      collectVars(S.G.PureArg, Vars);
-      for (const std::string &V : Vars) {
-        auto It = ParamByName.find(V);
-        if (It != ParamByName.end())
-          effect(It->second, /*Read=*/true, false, false);
-      }
-      break;
-    }
-    case rmir::Statement::Nop:
-      break;
-    }
-  }
-
-  void visitTerminator(const rmir::Terminator &T) {
-    switch (T.Kind) {
+    const rmir::Terminator &Term = B.Term;
+    switch (Term.Kind) {
     case rmir::Terminator::SwitchInt:
-      readOperand(T.Discr);
+      if (derefsRawPointer(F, Term.Discr))
+        Out.UnsafeOps = true;
       break;
-    case rmir::Terminator::Call: {
-      SawCall = true;
-      for (const rmir::Operand &Op : T.Args)
-        readOperand(Op);
-      // An unknown callee resolves to FnSummary::top inside calleeSummary,
-      // which makes every merge below conservative.
-      FnSummary CS = calleeSummary(T.Callee, T.Args.size());
-      HeapReads |= CS.HeapReads;
-      HeapWrites |= CS.HeapWrites;
-      if (!CS.Pure)
-        CalleeImpure = true;
-      if (CS.UnsafeEscapes)
-        CalleeUnsafeEscapes = true;
-      for (std::size_t I = 0; I != T.Args.size(); ++I) {
-        const rmir::Operand &Op = T.Args[I];
-        if (Op.Kind == rmir::Operand::Const)
-          continue;
-        ParamEffect E = I < CS.Params.size() ? CS.Params[I]
-                                             : ParamEffect{true, true, true};
-        if (!CS.Known)
-          E = ParamEffect{true, true, true};
-        effect(Op.P.Local, E.Read, E.Written, E.Escaped);
-        // An escaping argument may flow out through the return value.
-        if (E.Escaped && T.Dest.Elems.empty())
-          propagate(T.Dest.Local, Op.P.Local);
-      }
-      for (const auto &[I, J] : CS.MayAliasParams) {
-        if (I >= T.Args.size() || J >= T.Args.size())
-          continue;
-        const rmir::Operand &A = T.Args[I], &B = T.Args[J];
-        if (A.Kind == rmir::Operand::Const || B.Kind == rmir::Operand::Const)
-          continue;
-        for (rmir::LocalId RA : rootsOf(A.P.Local))
-          for (rmir::LocalId RB : rootsOf(B.P.Local))
-            if (RA != RB)
-              Changed |= AliasPairs
-                             .emplace(std::min(RA, RB), std::max(RA, RB))
-                             .second;
-      }
-      if (placeHasDeref(T.Dest)) {
-        HeapWrites = true;
-        effect(T.Dest.Local, false, /*Write=*/true, false);
-        if (derefsRawPointer(F, T.Dest))
-          UnsafeOps = true;
-      } else if (T.Dest.Local == 0)
-        WritesReturn = true;
+    case rmir::Terminator::Call:
+      if (derefsRawPointer(F, Term.Dest) || anyDerefsRawPointer(F, Term.Args))
+        Out.UnsafeOps = true;
+      if (calleeEscapes(Term.Callee, T, Group))
+        CalleeUnsafe = true;
       break;
-    }
-    case rmir::Terminator::Return:
-      effect(0, false, false, /*Escape=*/true);
-      break;
-    case rmir::Terminator::Unreachable:
-      HasUnreachable = true;
-      break;
-    case rmir::Terminator::Goto:
+    default:
       break;
     }
   }
-
-  void finish(FnSummary &Out) {
-    Out.Known = true;
-    Out.Leaf = !SawCall;
-    Out.HeapReads = HeapReads;
-    Out.HeapWrites = HeapWrites;
-    Out.UnsafeOps = UnsafeOps;
-    Out.Pure = !HeapWrites && !UnsafeOps && !CalleeImpure;
-    Out.HasGhost = HasGhost;
-    Out.HasCheckedArith = HasCheckedArith;
-    Out.HasUnreachable = HasUnreachable;
-    Out.HasLemmaApply = HasLemmaApply;
-    Out.WritesReturn = WritesReturn;
-    Out.Params.assign(F.NumParams, ParamEffect{});
-    for (unsigned I = 0; I != F.NumParams && 1 + I < F.Locals.size(); ++I)
-      Out.Params[I] = Effects[1 + I];
-    // May-alias: parameter roots that flowed into the same local, plus the
-    // pairs callee summaries merged.
-    std::set<std::pair<rmir::LocalId, rmir::LocalId>> Pairs = AliasPairs;
-    for (const std::set<rmir::LocalId> &Set : Aliases)
-      for (auto It = Set.begin(); It != Set.end(); ++It)
-        for (auto Jt = std::next(It); Jt != Set.end(); ++Jt)
-          Pairs.emplace(*It, *Jt);
-    Out.MayAliasParams.clear();
-    for (const auto &[A, B] : Pairs)
-      if (A >= 1 && B >= 1 && A <= F.NumParams && B <= F.NumParams)
-        Out.MayAliasParams.emplace_back(A - 1, B - 1);
-    // The caller fills Recursive/UnsafeEscapes/DepFns/DepPreds: they need
-    // the SCC structure, the spec table and the predicate closures.
-    bool Unsafe = UnsafeOps || CalleeUnsafeEscapes;
-    Out.UnsafeEscapes = Unsafe; // Spec containment applied by the caller.
-  }
-
-  const rmir::Function &F;
-  const SummaryTable &Table;
-  const Scc &Group;
-  std::vector<std::set<rmir::LocalId>> Aliases;
-  std::vector<ParamEffect> Effects;
-  std::set<std::pair<rmir::LocalId, rmir::LocalId>> AliasPairs;
-  std::map<std::string, rmir::LocalId> ParamByName;
-  bool Changed = false;
-  bool SawCall = false;
-  bool HeapReads = false, HeapWrites = false, UnsafeOps = false;
-  bool HasGhost = false, HasCheckedArith = false, HasUnreachable = false;
-  bool HasLemmaApply = false, WritesReturn = false;
-  bool CalleeImpure = false, CalleeUnsafeEscapes = false;
-};
+  Out.UnsafeEscapes = Out.UnsafeOps || CalleeUnsafe;
+}
 
 /// Whether \p Name's spec contains a containment boundary for its unsafe
 /// surface: any spatial/ownership assertion in pre or post.
@@ -443,21 +168,18 @@ FnSummary analyzeOne(const rmir::Program &Prog,
                      const gilsonite::SpecTable &Specs, const CallGraph &G,
                      const Scc &Group, const std::string &Name,
                      SummaryTable &T) {
+  FnSummary S;
+  S.DepFns.insert(Name);
   const rmir::Function *F = Prog.lookup(Name);
   if (!F || F->Blocks.empty()) {
-    FnSummary S = FnSummary::top(F ? F->NumParams : 0);
-    S.Recursive = Group.Recursive;
-    S.DepFns.insert(Name);
+    // An opaque body: nothing bounds its unsafe surface.
+    S.UnsafeOps = S.UnsafeEscapes = true;
     return S;
   }
-  FnSummary S;
-  EffectAnalysis EA(*F, T, Group);
-  EA.run(S);
-  S.Recursive = Group.Recursive;
+  scanBody(*F, T, Group, S);
   if (S.UnsafeEscapes && specContainsUnsafety(Specs, Name))
     S.UnsafeEscapes = false;
 
-  S.DepFns.insert(Name);
   auto Calls = G.FnCalls.find(Name);
   if (Calls != G.FnCalls.end())
     for (const std::string &Callee : Calls->second) {
@@ -601,7 +323,7 @@ void summarizeFnScc(const rmir::Program &Prog,
                     const gilsonite::SpecTable &Specs, const CallGraph &G,
                     const Scc &S, SummaryTable &T) {
   bool AnyChanged = true;
-  // Effect bits are monotone per the seed policy in calleeSummary, so each
+  // Escape bits are monotone per the seed policy in calleeEscapes, so each
   // flips at most once; the cap is a safety net, not a budget.
   for (unsigned Iter = 0; AnyChanged && Iter < 10000; ++Iter) {
     AnyChanged = false;

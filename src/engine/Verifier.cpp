@@ -2,7 +2,6 @@
 
 #include "engine/Verifier.h"
 
-#include "analysis/Interproc.h"
 #include "solver/Flight.h"
 #include "support/Deps.h"
 
@@ -38,20 +37,6 @@ VerifyReport gilr::engine::lintBlockedReport(const std::string &Func,
   for (const analysis::Diagnostic &D : V.Diags)
     if (D.Sev == analysis::Severity::Error)
       R.Errors.push_back(D.str());
-  return R;
-}
-
-VerifyReport gilr::engine::staticTriageReport(const std::string &Func,
-                                              const rmir::Function &F) {
-  VerifyReport R;
-  R.Func = Func;
-  R.Ok = true;
-  R.Static = true;
-  // The executor's failure-free path through a triage-eligible body: one
-  // completed path, no state exploration, no solver work. Seconds stays 0
-  // so warm and cold triaged runs render identically.
-  R.PathsCompleted = 1;
-  R.GhostAnnotations = countGhostAnnotations(F); // 0 by the triage predicate.
   return R;
 }
 
@@ -119,56 +104,4 @@ VerifyReport Verifier::verifyFunction(const std::string &FuncName) {
   if (trace::enabled())
     Report.Phases = trace::diffPhases(PhasesBefore, trace::phases());
   return Report;
-}
-
-std::vector<VerifyReport>
-Verifier::verifyAll(const std::vector<std::string> &Names) {
-  std::vector<VerifyReport> Reports;
-  Reports.reserve(Names.size());
-  LastAnalysis = analysis::AnalysisResult();
-  if (!Env.Lint.Enabled) {
-    for (const std::string &Name : Names)
-      Reports.push_back(verifyFunction(Name));
-    return Reports;
-  }
-
-  // Pre-verification analysis: interprocedural summaries bottom-up first,
-  // then lint every entity, then prove only the ones the pre-pass did not
-  // reject. Diagnostics ride along on the reports.
-  analysis::AnalysisInput In = lintInput(Env);
-  auto Start = std::chrono::steady_clock::now();
-  analysis::SummaryTable Summaries =
-      analysis::computeSummaries(Env.Prog, Env.Preds, Env.Specs);
-  In.Summaries = &Summaries;
-  std::vector<std::pair<std::string, analysis::EntityVerdict>> Verdicts;
-  Verdicts.reserve(Names.size());
-  for (const std::string &Name : Names)
-    Verdicts.emplace_back(Name, analysis::lintEntity(In, Name));
-  std::vector<analysis::Diagnostic> ProgDiags = analysis::lintProgramLevel(In);
-  auto End = std::chrono::steady_clock::now();
-  LastAnalysis = analysis::finalizeAnalysis(
-      In.Cfg, Verdicts, std::move(ProgDiags),
-      std::chrono::duration_cast<std::chrono::duration<double>>(End - Start)
-          .count());
-
-  for (const auto &[Name, V] : Verdicts) {
-    if (V.Blocked) {
-      Reports.push_back(lintBlockedReport(Name, V));
-      continue;
-    }
-    // Triage tier: an obligation whose summary proves it trivially safe
-    // skips symbolic execution entirely.
-    const rmir::Function *F = Env.Prog.lookup(Name);
-    const gilsonite::Spec *S = Env.Specs.lookup(Name);
-    if (F && S && analysis::triviallyStatic(*F, *S, Summaries)) {
-      VerifyReport R = staticTriageReport(Name, *F);
-      R.Diags = V.Diags;
-      Reports.push_back(std::move(R));
-      continue;
-    }
-    VerifyReport R = verifyFunction(Name);
-    R.Diags = V.Diags;
-    Reports.push_back(std::move(R));
-  }
-  return Reports;
 }

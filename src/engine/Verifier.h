@@ -1,10 +1,11 @@
 //===- engine/Verifier.h - The verification driver --------------------------===//
 ///
 /// \file
-/// Drives whole-library verification: one Executor run per (function, spec)
-/// pair, with wall-clock timing and annotation counting so that the
-/// evaluation tables of the paper (§6) can be regenerated by the benchmark
-/// harness.
+/// Verifies one function against its spec with one Executor run, with
+/// wall-clock timing and annotation counting so that the evaluation tables
+/// of the paper (§6) can be regenerated by the benchmark harness. Whole-run
+/// verification (\c Verifier::verifyAll) goes through the proof scheduler
+/// (sched/Scheduler.h), which defines every verifyAll overload.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,10 +58,8 @@ struct VerifyReport {
   /// The pre-pass rejected this entity (error-severity findings under
   /// FailOnError): Ok is false and the Executor never ran.
   bool LintBlocked = false;
-  /// Discharged by the interprocedural triage tier (analysis::triviallyStatic):
-  /// the summary proves the obligation trivially safe, so the Executor was
-  /// skipped and the verdict is statically known. Counted separately from
-  /// cached and executed verdicts.
+  /// Always false: every verdict comes from the Executor or the proof
+  /// store. Kept for code that still reads it.
   bool Static = false;
 };
 
@@ -73,14 +72,6 @@ analysis::AnalysisInput lintInput(VerifEnv &Env);
 VerifyReport lintBlockedReport(const std::string &Func,
                                const analysis::EntityVerdict &V);
 
-/// The successful report for an obligation the interprocedural triage tier
-/// discharged (analysis::triviallyStatic): Ok, marked Static, one path (the
-/// executor's only failure-free path through such a body), zero solver
-/// work. Deterministic — a pure function of the name — so triaged runs stay
-/// byte-stable across worker counts.
-VerifyReport staticTriageReport(const std::string &Func,
-                                const rmir::Function &F);
-
 /// The verification driver.
 class Verifier {
 public:
@@ -89,19 +80,20 @@ public:
   /// Verifies \p FuncName against its registered spec.
   VerifyReport verifyFunction(const std::string &FuncName);
 
-  /// Verifies each function in \p FuncNames, in order, serially.
+  /// Verifies each function in \p Names through the proof scheduler with
+  /// its default configuration (one thread, the entailment memo on).
+  /// Reports come back in input order. Defined in sched/Scheduler.cpp, as
+  /// are the overloads below.
   std::vector<VerifyReport> verifyAll(const std::vector<std::string> &Names);
 
-  /// Verifies the functions through the proof scheduler (parallel workers,
-  /// entailment cache, per-job budgets — see sched/Scheduler.h). Reports
-  /// come back in input order. Defined in sched/Scheduler.cpp.
+  /// Same, under \p Config (parallel workers, entailment cache, per-job
+  /// budgets — see sched/Scheduler.h).
   std::vector<VerifyReport> verifyAll(const std::vector<std::string> &Names,
                                       const sched::SchedulerConfig &Config);
 
   /// Same, with incremental verification: still-valid persisted verdicts
   /// are replayed from the proof store (marked Cached), the rest proved
-  /// and recorded. Falls through to the plain scheduled run when
-  /// Inc.Enabled is false. Defined in sched/Scheduler.cpp.
+  /// and recorded. A plain scheduled run when Inc.Enabled is false.
   std::vector<VerifyReport> verifyAll(const std::vector<std::string> &Names,
                                       const sched::SchedulerConfig &Config,
                                       const incr::IncrConfig &Inc,

@@ -273,8 +273,7 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
                  std::to_string(Stats.SalvageQueries) +
                  ", \"shared_hits\": " + std::to_string(Stats.sharedHits()) +
                  ", \"shared_puts\": " + std::to_string(Stats.SharedPuts) +
-                 "}, \"interproc\": {\"triaged_static\": " +
-                 std::to_string(Stats.TriagedStatic) + "}";
+                 "}";
     R.Json = jsonHead(Opt, Path) + ", \"exit\": " + std::to_string(R.Exit) +
              ", \"errors\": " + ErrJson + IncrJson +
              ", \"report\": " + Report.renderJson() + "}";
@@ -289,7 +288,6 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
           << " invalidated, " << Stats.Salvaged << " salvaged, "
           << Stats.Implied << " implied, " << Stats.sharedHits()
           << " shared hits, " << Stats.SharedPuts << " shared puts\n";
-      Out << "interproc: " << Stats.TriagedStatic << " triaged static\n";
     }
   }
   return R;

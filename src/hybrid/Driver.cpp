@@ -76,27 +76,6 @@ Outcome<Unit> HybridDriver::encodeAndRegister(const std::string &Func) {
   return Outcome<Unit>::success(Unit());
 }
 
-HybridReport HybridDriver::run(const std::vector<std::string> &UnsafeFuncs,
-                               const std::vector<creusot::SafeFn> &Clients) {
-  HybridReport Report;
-
-  {
-    GILR_TRACE_SCOPE("hybrid", "unsafe-side");
-    engine::Verifier V(Env);
-    Report.UnsafeSide = V.verifyAll(UnsafeFuncs);
-    Report.Analysis = V.lastAnalysis();
-  }
-
-  {
-    GILR_TRACE_SCOPE("hybrid", "safe-side");
-    creusot::SafeVerifier SV(Contracts, Env.Solv);
-    for (const creusot::SafeFn &Client : Clients)
-      Report.SafeSide.push_back(SV.verify(Client));
-  }
-
-  return Report;
-}
-
 std::string HybridReport::summaryText() const {
   std::string Out;
   Out += "hybrid verification: " + std::string(ok() ? "OK" : "FAILED") + "\n";
@@ -104,9 +83,7 @@ std::string HybridReport::summaryText() const {
     Out += Analysis.renderText();
   for (const engine::VerifyReport &R : UnsafeSide) {
     Out += "  [gillian] " + R.Func + ": " +
-           (R.Ok ? (R.Static   ? "ok (static)"
-                    : R.Cached ? "ok (cached)"
-                               : "ok")
+           (R.Ok ? (R.Cached ? "ok (cached)" : "ok")
                  : R.LintBlocked ? "REJECTED (pre-verification analysis)"
                  : R.TimedOut   ? "UNKNOWN (budget)"
                                 : "FAIL") +
@@ -211,8 +188,6 @@ std::string HybridReport::renderJson() const {
       Out += ", \"cached\": true";
     if (R.LintBlocked)
       Out += ", \"lint_blocked\": true";
-    if (R.Static)
-      Out += ", \"static\": true";
     if (!R.Diags.empty())
       Out += ", \"diagnostics\": " + analysis::renderDiagnosticsJson(R.Diags);
     Out += ", \"seconds\": " + std::to_string(R.Seconds);

@@ -5,7 +5,8 @@
 /// client code against the axiomatised Pearlite contracts, and
 /// Gillian-Rust-side verification of the unsafe implementations against the
 /// *same* contracts after the systematic encoding — the division of labour
-/// of Fig. 1.
+/// of Fig. 1. Both sides run as jobs of the proof scheduler
+/// (sched/Scheduler.h), which defines every \c HybridDriver::run overload.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,15 +72,16 @@ public:
   Outcome<Unit> encodeAndRegister(const std::string &Func);
 
   /// Verifies the listed unsafe implementations (Gillian-Rust side) and
-  /// safe clients (Creusot side), serially.
+  /// safe clients (Creusot side) through the proof scheduler with its
+  /// default configuration (one thread, the entailment memo on). Reports
+  /// are emitted in input order. Defined in sched/Scheduler.cpp, as are
+  /// the overloads below.
   HybridReport run(const std::vector<std::string> &UnsafeFuncs,
                    const std::vector<creusot::SafeFn> &Clients);
 
-  /// Same, through the proof scheduler: every obligation of both sides is
-  /// an independent job on a work-stealing pool with a shared entailment
-  /// cache and per-job budgets (sched/Scheduler.h). Serial when
-  /// Config.Threads == 1. Reports are emitted in input order either way.
-  /// Defined in sched/Scheduler.cpp.
+  /// Same, under \p Config: every obligation of both sides is an
+  /// independent job on a work-stealing pool with a shared entailment
+  /// cache and per-job budgets. Serial when Config.Threads == 1.
   HybridReport run(const std::vector<std::string> &UnsafeFuncs,
                    const std::vector<creusot::SafeFn> &Clients,
                    const sched::SchedulerConfig &Config);
@@ -87,9 +89,9 @@ public:
   /// Same, with incremental verification (incr/Session.h): obligations
   /// whose persisted verdict is still valid are replayed from the proof
   /// store (marked \c cached in the reports), the rest are proved and the
-  /// store updated. Falls through to the plain scheduled run when
-  /// Inc.Enabled is false. \p StatsOut, if given, receives the run's
-  /// cached/verified/invalidated counters. Defined in sched/Scheduler.cpp.
+  /// store updated. A plain scheduled run when Inc.Enabled is false.
+  /// \p StatsOut, if given, receives the run's cached/verified/invalidated
+  /// counters.
   HybridReport run(const std::vector<std::string> &UnsafeFuncs,
                    const std::vector<creusot::SafeFn> &Clients,
                    const sched::SchedulerConfig &Config,

@@ -267,11 +267,6 @@ void SharedDirBackend::remember(const CacheKey &K, const std::string &Blob) {
     Mem.emplace(K, Blob);
 }
 
-void SharedDirBackend::pin(const CacheKey &K) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Pinned.insert(K);
-}
-
 bool SharedDirBackend::gc() {
   struct Rec {
     std::string Path;
@@ -330,8 +325,6 @@ bool SharedDirBackend::gc() {
     for (const Rec &R : Recs) {
       if (Total <= Cfg.SizeBudgetBytes)
         break;
-      if (Pinned.count(R.K))
-        continue; // Referenced by the current run: never evicted.
       std::error_code RmEC;
       fs::remove(R.Path, RmEC);
       if (RmEC)

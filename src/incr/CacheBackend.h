@@ -17,8 +17,9 @@
 /// --incr-store`, several gilrd daemons and CI jobs alike: a record read
 /// while another process rewrites it, or torn by a crash, reads as a miss,
 /// never as a wrong verdict. Gets refresh the record's mtime so the
-/// size-budgeted GC evicts in LRU order (to the minute); keys pinned during
-/// a run are never evicted by that run's GC.
+/// size-budgeted GC evicts in LRU order (to the minute). gilrd runs the GC
+/// at shutdown, after its last run; a record evicted under another
+/// process's live run costs that run a miss, never a wrong verdict.
 ///
 /// Blobs are the records of incr/ProofStore.h: obligation records under
 /// obligationCacheKey, and one solver-entry block under the reserved
@@ -35,7 +36,6 @@
 #include <ctime>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 
 namespace gilr {
@@ -105,14 +105,14 @@ struct SharedDirConfig {
 /// one key take turns; readers take no lock, and one that races a write
 /// sees a length or checksum mismatch, i.e. a miss. A put whose bytes
 /// equal the stored record writes nothing. GC walks objects/, and while
-/// the payload total exceeds the budget evicts unpinned records
-/// oldest-mtime-first (gets refresh an mtime older than a minute, making
-/// this LRU to the minute); it also removes temp files older than an
+/// the payload total exceeds the budget evicts records oldest-mtime-first
+/// (gets refresh an mtime older than a minute, making this LRU to the
+/// minute); it also removes temp files older than an
 /// hour, which older versions' crashed writers could leave. GC is
 /// idempotent: a second run with no intervening traffic evicts nothing.
 ///
-/// Thread-safe: scheduler workers and daemon request handlers call
-/// get/put/pin concurrently.
+/// Thread-safe: scheduler workers and daemon request handlers call get/put
+/// concurrently.
 class SharedDirBackend {
 public:
   explicit SharedDirBackend(SharedDirConfig Cfg);
@@ -128,11 +128,9 @@ public:
   /// nothing and succeeds.
   bool put(const CacheKey &K, const std::string &Blob);
 
-  /// Marks \p K as referenced by the current run: GC must not evict it
-  /// while this instance lives.
-  void pin(const CacheKey &K);
-
-  /// Runs the size-budget GC. Returns false on I/O failure.
+  /// Runs the size-budget GC. Call it while no run of this process uses
+  /// the store: nothing shields the records a live run reads or writes.
+  /// Returns false on I/O failure.
   bool gc();
 
   CacheBackendStats stats() const;
@@ -155,7 +153,6 @@ private:
   /// <Dir>/objects, the parent of every record's fan-out directory.
   std::string ObjectsDir;
   mutable std::mutex Mu;
-  std::set<CacheKey> Pinned;
   std::map<CacheKey, std::string> Mem;
   CacheBackendStats St;
 };

@@ -257,7 +257,9 @@ std::string gilr::incr::encodeVerifyReport(const engine::VerifyReport &R) {
     W.u64(P.Count);
     W.u64(P.Nanos);
   }
-  W.u8(R.Static ? 1 : 0);
+  // A reserved byte, always 0: dropping it would change the record layout
+  // and turn every existing store cold.
+  W.u8(0);
   return std::move(W.Out);
 }
 
@@ -289,10 +291,9 @@ bool gilr::incr::decodeVerifyReport(const std::string &Blob,
   for (trace::PhaseStat &P : Out.Phases)
     if (!R.str(P.Key) || !R.u64(P.Count) || !R.u64(P.Nanos))
       return false;
-  uint8_t Static;
-  if (!R.u8(Static) || Static > 1)
+  uint8_t Reserved; // See encodeVerifyReport.
+  if (!R.u8(Reserved) || Reserved > 1)
     return false;
-  Out.Static = Static != 0;
   return R.done();
 }
 

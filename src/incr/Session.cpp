@@ -193,9 +193,6 @@ bool Session::lookup(Side S, const std::string &Name, uint64_t SelfFp,
     return false;
   uint64_t CfgFp = S == Side::Lint ? LintConfigFp : ConfigFp;
   CacheKey K = obligationCacheKey(S, Name, SelfFp, CfgFp);
-  // Pin regardless of the outcome: a concurrent GC must not evict the
-  // record between this get and the run's own put of the same key.
-  Store->pin(K);
   std::string Blob;
   StoredObligation Ob;
   // The key is derived from the record's identity; a blob whose decoded
@@ -260,7 +257,6 @@ Session::encodeRecord(Side S, const std::string &Name, uint64_t SelfFp,
 void Session::write(const std::optional<PendingPut> &P) {
   if (!P)
     return;
-  Store->pin(P->K);
   Store->put(P->K, P->Record);
 }
 
@@ -350,17 +346,11 @@ void Session::recordLint(const std::string &Func,
   write(P);
 }
 
-void Session::noteTriagedStatic() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  bump(Stats.TriagedStatic, "incr.triaged_static");
-}
-
 std::vector<SavedQueryVerdict> Session::solverEntriesToLoad() const {
   std::vector<SavedQueryVerdict> Entries;
   std::string Blob;
   if (!Store)
     return Entries;
-  Store->pin(SolverBlockCacheKey);
   if (!Store->get(SolverBlockCacheKey, Blob) ||
       !decodeSolverBlock(Blob, Entries))
     Entries.clear(); // A corrupt block is a cold solver cache.
@@ -380,6 +370,5 @@ bool Session::flush() {
   }
   if (!Store || !Block)
     return true;
-  Store->pin(SolverBlockCacheKey);
   return Store->put(SolverBlockCacheKey, *Block);
 }

@@ -67,8 +67,8 @@ struct IncrConfig {
   bool SemanticSalvage = true;
   /// Externally owned store, overriding StorePath — the gilrd daemon shares
   /// one resident backend across requests. Non-owning: the owner runs its
-  /// GC on its own schedule, and the session pins every key the run touches
-  /// so that GC cannot evict them mid-run.
+  /// GC, and only while no session over the store is live (gilrd runs it
+  /// at shutdown, after its last run).
   SharedDirBackend *Backend = nullptr;
 };
 
@@ -82,10 +82,6 @@ struct IncrRunStats {
   /// fresh. Kept out of cached()/verified(), which count proof obligations.
   uint64_t CachedLint = 0;
   uint64_t AnalyzedLint = 0;
-  /// Obligations the triage tier discharged statically (summary proves them
-  /// trivially safe; the executor never ran). Bumped by the scheduler, not
-  /// the session.
-  uint64_t TriagedStatic = 0;
   /// Store records found under the obligation's key but rejected because a
   /// dependency fingerprint moved. A changed body or configuration changes
   /// the key itself, so it is a plain miss.
@@ -145,10 +141,6 @@ public:
   bool lookupLint(const std::string &Func, analysis::EntityVerdict &Out);
   void recordLint(const std::string &Func, const std::set<DepKey> &Deps,
                   const analysis::EntityVerdict &V);
-
-  /// Bumps the static-triage counter (the scheduler's triage tier reports
-  /// through the session so the counters travel with the run stats).
-  void noteTriagedStatic();
 
   /// The solver-entry block the store holds, to pre-warm the QueryCache
   /// with (empty when it holds none or it does not decode).
@@ -215,7 +207,7 @@ private:
                                          uint64_t SelfFp,
                                          const std::set<DepKey> &Deps,
                                          std::string Blob);
-  /// Pins and stores \p P (empty: a no-op). Mu not held.
+  /// Stores \p P (empty: a no-op). Mu not held.
   void write(const std::optional<PendingPut> &P);
 
   IncrConfig Cfg;

@@ -1,15 +1,15 @@
 //===- sched/Scheduler.cpp --------------------------------------------------------===//
 //
-// Also defines the SchedulerConfig-taking overloads declared on
-// hybrid::HybridDriver and engine::Verifier: the scheduler is the layer
+// Also defines every run overload of hybrid::HybridDriver and every
+// verifyAll overload of engine::Verifier: the scheduler is the layer
 // between the drivers and the engine, so those entry points live here
-// rather than in the lower-level libraries.
+// rather than in the lower-level libraries, and all of them forward to one
+// function.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sched/Scheduler.h"
 
-#include "analysis/Interproc.h"
 #include "analysis/Summary.h"
 #include "incr/Session.h"
 #include "sched/WorkerPool.h"
@@ -17,7 +17,6 @@
 #include "support/Budget.h"
 #include "support/Trace.h"
 
-#include <atomic>
 #include <chrono>
 #include <optional>
 
@@ -84,13 +83,11 @@ analysis::SummaryTable summaryPhase(const engine::VerifEnv &Env) {
 }
 
 /// Publishes the interproc telemetry section at the end of a scheduled run.
-void recordInterprocReport(const analysis::SummaryTable &T, uint64_t Triaged,
-                           double Seconds) {
+void recordInterprocReport(const analysis::SummaryTable &T, double Seconds) {
   metrics::InterprocReport R;
   R.Valid = true;
   R.FnSummaries = T.Fns.size();
   R.PredSummaries = T.Preds.size();
-  R.TriagedStatic = Triaged;
   R.Seconds = Seconds;
   metrics::Registry::get().setInterprocReport(std::move(R));
 }
@@ -195,7 +192,6 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
   std::vector<std::pair<std::string, analysis::EntityVerdict>> Verdicts;
   std::optional<analysis::SummaryTable> Summaries;
   double SummarySeconds = 0.0;
-  std::atomic<uint64_t> Triaged{0};
   if (Env.Lint.Enabled) {
     auto S0 = std::chrono::steady_clock::now();
     Summaries.emplace(summaryPhase(Env));
@@ -216,25 +212,6 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
       if (V && V->Blocked) {
         Report.UnsafeSide[J.Slot] = engine::lintBlockedReport(J.Name, *V);
         return;
-      }
-      // Triage tier: an obligation whose summary proves it trivially safe
-      // never reaches the executor (or the proof store — the static verdict
-      // is cheaper to recompute than to validate). The predicate is a pure
-      // function of the program, so the verdict is byte-stable at any
-      // worker count.
-      if (Summaries) {
-        const rmir::Function *F = Env.Prog.lookup(J.Name);
-        const gilsonite::Spec *Sp = Env.Specs.lookup(J.Name);
-        if (F && Sp && analysis::triviallyStatic(*F, *Sp, *Summaries)) {
-          engine::VerifyReport TR = engine::staticTriageReport(J.Name, *F);
-          if (V)
-            TR.Diags = V->Diags;
-          ++Triaged;
-          if (Incr)
-            Incr->noteTriagedStatic();
-          Report.UnsafeSide[J.Slot] = std::move(TR);
-          return;
-        }
       }
       engine::VerifyReport R;
       if (Incr && Incr->lookupUnsafe(J.Name, R)) {
@@ -282,47 +259,12 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
     }
   });
   if (Summaries)
-    recordInterprocReport(*Summaries, Triaged.load(), SummarySeconds);
+    recordInterprocReport(*Summaries, SummarySeconds);
   return Report;
 }
 
 //===----------------------------------------------------------------------===//
-// SchedulerConfig entry points of the lower layers
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// The unsafe side alone (the engine::Verifier::verifyAll overloads): a
-/// hybrid run with no contracts and no clients.
-std::vector<engine::VerifyReport>
-runUnsafeSide(Scheduler &S, engine::VerifEnv &Env,
-              const std::vector<std::string> &Names, incr::Session *Incr,
-              analysis::AnalysisResult &AnalysisOut) {
-  hybrid::HybridReport R =
-      S.runHybrid(Env, creusot::PearliteSpecTable(), Names, {}, Incr);
-  AnalysisOut = std::move(R.Analysis);
-  return std::move(R.UnsafeSide);
-}
-
-} // namespace
-
-hybrid::HybridReport
-hybrid::HybridDriver::run(const std::vector<std::string> &UnsafeFuncs,
-                          const std::vector<creusot::SafeFn> &Clients,
-                          const sched::SchedulerConfig &Config) {
-  Scheduler S(Config);
-  return S.runHybrid(Env, Contracts, UnsafeFuncs, Clients);
-}
-
-std::vector<engine::VerifyReport>
-engine::Verifier::verifyAll(const std::vector<std::string> &Names,
-                            const sched::SchedulerConfig &Config) {
-  Scheduler S(Config);
-  return runUnsafeSide(S, Env, Names, nullptr, LastAnalysis);
-}
-
-//===----------------------------------------------------------------------===//
-// Incremental entry points (incr::IncrConfig overloads)
+// The drivers' entry points
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -344,28 +286,37 @@ void recordIncrReport(const gilr::incr::IncrRunStats &St) {
   gilr::metrics::Registry::get().setIncrReport(std::move(R));
 }
 
-} // namespace
-
-hybrid::HybridReport
-hybrid::HybridDriver::run(const std::vector<std::string> &UnsafeFuncs,
-                          const std::vector<creusot::SafeFn> &Clients,
-                          const sched::SchedulerConfig &Config,
-                          const incr::IncrConfig &Inc,
-                          incr::IncrRunStats *StatsOut) {
-  if (!Inc.Enabled) {
+/// The one path to a verdict behind every HybridDriver::run and
+/// engine::Verifier::verifyAll overload: a fresh scheduler under \p Config
+/// runs both sides. With \p Inc enabled the run goes through an
+/// incr::Session over the proof store: stable cache keys, the store's
+/// solver-entry block preloaded, the run's cache entries handed back and
+/// flushed, and the `incremental` telemetry section published. \p StatsOut
+/// (if given) receives the session's counters, zeros without a session.
+/// \p Contracts is null for an unsafe-only run; its session then validates
+/// no contract dependency.
+hybrid::HybridReport verifyScheduled(
+    engine::VerifEnv &Env, const creusot::PearliteSpecTable *Contracts,
+    const std::vector<std::string> &UnsafeFuncs,
+    const std::vector<creusot::SafeFn> &Clients, SchedulerConfig Config,
+    const incr::IncrConfig *Inc = nullptr,
+    incr::IncrRunStats *StatsOut = nullptr) {
+  const creusot::PearliteSpecTable NoContracts;
+  const creusot::PearliteSpecTable &C = Contracts ? *Contracts : NoContracts;
+  if (!Inc || !Inc->Enabled) {
     if (StatsOut)
       *StatsOut = incr::IncrRunStats();
-    return run(UnsafeFuncs, Clients, Config);
+    Scheduler S(Config);
+    return S.runHybrid(Env, C, UnsafeFuncs, Clients);
   }
-  sched::SchedulerConfig C = Config;
   // Persisted / preloaded cache entries are only meaningful under the
   // process-stable key scheme.
-  C.StableCacheKeys = true;
-  Scheduler S(C);
-  incr::Session Sess(Inc, Env, &Contracts);
+  Config.StableCacheKeys = true;
+  Scheduler S(Config);
+  incr::Session Sess(*Inc, Env, Contracts);
   S.preloadCache(Sess.solverEntriesToLoad());
   hybrid::HybridReport Report =
-      S.runHybrid(Env, Contracts, UnsafeFuncs, Clients, &Sess);
+      S.runHybrid(Env, C, UnsafeFuncs, Clients, &Sess);
   Sess.saveSolverEntries(S.exportCacheEntries());
   Sess.flush();
   recordIncrReport(Sess.stats());
@@ -374,27 +325,57 @@ hybrid::HybridDriver::run(const std::vector<std::string> &UnsafeFuncs,
   return Report;
 }
 
+/// The unsafe side of \p R, for the verifyAll overloads; its analysis
+/// verdict moves to \p Analysis (Verifier::lastAnalysis).
+std::vector<engine::VerifyReport>
+unsafeSide(hybrid::HybridReport R, analysis::AnalysisResult &Analysis) {
+  Analysis = std::move(R.Analysis);
+  return std::move(R.UnsafeSide);
+}
+
+} // namespace
+
+hybrid::HybridReport
+hybrid::HybridDriver::run(const std::vector<std::string> &UnsafeFuncs,
+                          const std::vector<creusot::SafeFn> &Clients) {
+  return verifyScheduled(Env, &Contracts, UnsafeFuncs, Clients, {});
+}
+
+hybrid::HybridReport
+hybrid::HybridDriver::run(const std::vector<std::string> &UnsafeFuncs,
+                          const std::vector<creusot::SafeFn> &Clients,
+                          const sched::SchedulerConfig &Config) {
+  return verifyScheduled(Env, &Contracts, UnsafeFuncs, Clients, Config);
+}
+
+hybrid::HybridReport
+hybrid::HybridDriver::run(const std::vector<std::string> &UnsafeFuncs,
+                          const std::vector<creusot::SafeFn> &Clients,
+                          const sched::SchedulerConfig &Config,
+                          const incr::IncrConfig &Inc,
+                          incr::IncrRunStats *StatsOut) {
+  return verifyScheduled(Env, &Contracts, UnsafeFuncs, Clients, Config, &Inc,
+                         StatsOut);
+}
+
+std::vector<engine::VerifyReport>
+engine::Verifier::verifyAll(const std::vector<std::string> &Names) {
+  return unsafeSide(verifyScheduled(Env, nullptr, Names, {}, {}), LastAnalysis);
+}
+
+std::vector<engine::VerifyReport>
+engine::Verifier::verifyAll(const std::vector<std::string> &Names,
+                            const sched::SchedulerConfig &Config) {
+  return unsafeSide(verifyScheduled(Env, nullptr, Names, {}, Config),
+                    LastAnalysis);
+}
+
 std::vector<engine::VerifyReport>
 engine::Verifier::verifyAll(const std::vector<std::string> &Names,
                             const sched::SchedulerConfig &Config,
                             const incr::IncrConfig &Inc,
                             incr::IncrRunStats *StatsOut) {
-  if (!Inc.Enabled) {
-    if (StatsOut)
-      *StatsOut = incr::IncrRunStats();
-    return verifyAll(Names, Config);
-  }
-  sched::SchedulerConfig C = Config;
-  C.StableCacheKeys = true;
-  Scheduler S(C);
-  incr::Session Sess(Inc, Env, /*Contracts=*/nullptr);
-  S.preloadCache(Sess.solverEntriesToLoad());
-  std::vector<engine::VerifyReport> Reports =
-      runUnsafeSide(S, Env, Names, &Sess, LastAnalysis);
-  Sess.saveSolverEntries(S.exportCacheEntries());
-  Sess.flush();
-  recordIncrReport(Sess.stats());
-  if (StatsOut)
-    *StatsOut = Sess.stats();
-  return Reports;
+  return unsafeSide(
+      verifyScheduled(Env, nullptr, Names, {}, Config, &Inc, StatsOut),
+      LastAnalysis);
 }

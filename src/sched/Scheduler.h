@@ -7,13 +7,15 @@
 /// (support/Budget.h) that degrades stuck obligations to a reported
 /// \c Unknown instead of stalling the pool.
 ///
-/// Drivers reach it through \c HybridDriver::run and
-/// \c engine::Verifier::verifyAll overloads taking a \c SchedulerConfig;
-/// \c Threads == 1 keeps the serial semantics (jobs run inline, in input
-/// order, on the calling thread) while still exercising the cache and
-/// budget paths. Reports are always emitted in deterministic input order;
-/// with budgets disabled, the parallel report (timing aside) is
-/// byte-identical to the serial one.
+/// It is the only path to a verdict: every \c HybridDriver::run and
+/// \c engine::Verifier::verifyAll overload is defined in Scheduler.cpp and
+/// runs through it (the overloads without a \c SchedulerConfig use the
+/// default one). \c Threads == 1 is the serial path (jobs run inline, in
+/// input order, on the calling thread) and still exercises the cache and
+/// budget paths; \c CacheCapacity == 0 turns the entailment memo off.
+/// Reports are always emitted in deterministic input order; with budgets
+/// disabled, the parallel report (timing aside) is byte-identical to the
+/// serial one.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -367,7 +367,6 @@ void Server::runModule(
      << ", \"salvage_queries\": " << St.SalvageQueries
      << ", \"shared_hits\": " << St.sharedHits()
      << ", \"shared_puts\": " << St.SharedPuts << "}"
-     << ", \"interproc\": {\"triaged_static\": " << St.TriagedStatic << "}"
      << ", \"solver\": {\"sat_queries\": " << Delta.SatQueries.get()
      << ", \"entail_queries\": " << Delta.EntailQueries.get()
      << ", \"branches\": " << Delta.Branches.get()

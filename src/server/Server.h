@@ -59,8 +59,9 @@ struct ServerConfig {
   /// (incr::SharedDirConfig::Dir). Empty = no proof cache; only the
   /// resident solver entries carry warmth between requests.
   std::string CacheDir;
-  /// Size budget of the cache directory, enforced by LRU GC after each
-  /// run and at shutdown (0 = unlimited).
+  /// Size budget of the cache directory, enforced by LRU GC at shutdown,
+  /// after the last run (0 = unlimited). The directory may exceed it while
+  /// the daemon serves.
   uint64_t CacheBudgetBytes = 0;
   /// Default scheduler threads per request (a request's `jobs` overrides).
   unsigned Jobs = 1;

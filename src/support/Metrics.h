@@ -216,8 +216,8 @@ struct IncrReport {
   uint64_t AnalyzedLint = 0;
 };
 
-/// Summary of the interprocedural summary phase and triage tier of the most
-/// recent scheduled run (analysis/Summary.h, sched/Scheduler.cpp). Recorded
+/// Summary of the interprocedural summary phase of the most recent
+/// scheduled run (analysis/Summary.h, sched/Scheduler.cpp). Recorded
 /// by the scheduler so the telemetry JSON can emit an \c interproc section
 /// without the support layer depending on sched — the same inversion as
 /// \c IncrReport.
@@ -227,9 +227,6 @@ struct InterprocReport {
   /// Function/predicate summaries in the table this run ended with.
   uint64_t FnSummaries = 0;
   uint64_t PredSummaries = 0;
-  /// Obligations the triage tier discharged statically (the executor never
-  /// ran; see engine::staticTriageReport).
-  uint64_t TriagedStatic = 0;
   /// Wall time of the (serial) summary phase.
   double Seconds = 0.0;
 };

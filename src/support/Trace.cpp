@@ -425,9 +425,9 @@ gilr::trace::renderStatsJson(const std::vector<std::string> &CaseStudies) {
     Out += "},\n";
   }
 
-  // Summary of the interprocedural summary phase and triage tier (recorded
-  // by the scheduler at the end of the most recent run); omitted until a
-  // run with the phase enabled has completed.
+  // Summary of the interprocedural summary phase (recorded by the scheduler
+  // at the end of the most recent run); omitted until a run with the phase
+  // enabled has completed.
   metrics::InterprocReport IP = R.interprocReport();
   if (IP.Valid) {
     char IpSecs[32];
@@ -435,7 +435,6 @@ gilr::trace::renderStatsJson(const std::vector<std::string> &CaseStudies) {
     Out += "  \"interproc\": {";
     Out += "\"fn_summaries\": " + std::to_string(IP.FnSummaries);
     Out += ", \"pred_summaries\": " + std::to_string(IP.PredSummaries);
-    Out += ", \"triaged_static\": " + std::to_string(IP.TriagedStatic);
     Out += std::string(", \"seconds\": ") + IpSecs;
     Out += "},\n";
   }

@@ -2,13 +2,13 @@
 //
 // Coverage for the interprocedural layer: call-graph/SCC condensation,
 // bottom-up function and predicate summaries (recursive and mutual SCCs,
-// opaque callees), the static triage tier (verdict identity with the
-// executor, byte stability across worker counts, never-stored verdicts),
-// the summary-powered lints (W008 de-opaqued through predicate footprints,
-// W009 unsafe-escape, W010 recursion-without-variant), summaries under
-// incremental runs (recomputed, identical to a plain run), and the generic
-// dataflow framework (loops, nested back-edges, unreachable-then-rejoined
-// blocks, fixpoint termination, deterministic iteration order).
+// opaque callees), the summary-powered lints (W008 de-opaqued through
+// predicate footprints, W009 unsafe-escape, W010 recursion-without-variant),
+// reports byte-stable across worker counts, summaries under incremental
+// runs (recomputed, identical to a plain run; a constant body proved once,
+// then replayed), and the generic dataflow framework (loops, nested
+// back-edges, unreachable-then-rejoined blocks, fixpoint termination,
+// deterministic iteration order).
 //
 //===----------------------------------------------------------------------===//
 
@@ -144,8 +144,8 @@ protected:
     return B.finish();
   }
 
-  /// `ret = 1` with an emp/emp spec: the triage tier's bread and butter.
-  void addTriageEligible(const std::string &Name) {
+  /// `ret = 1` with an emp/emp spec: straight-line, call-free, scalar.
+  void addConstant(const std::string &Name) {
     FunctionBuilder B(Name, Prog.Types);
     B.setReturnType(U32);
     BlockId E = B.newBlock();
@@ -230,39 +230,30 @@ TEST_F(InterprocTest, PureLeafSummary) {
   SummaryTable T = summarize();
   const FnSummary *S = T.fn("inc");
   ASSERT_NE(S, nullptr);
-  EXPECT_TRUE(S->Known);
-  EXPECT_TRUE(S->Leaf);
-  EXPECT_TRUE(S->Pure);
-  EXPECT_FALSE(S->Recursive);
-  EXPECT_FALSE(S->HeapReads);
-  EXPECT_FALSE(S->HeapWrites);
   EXPECT_FALSE(S->UnsafeOps);
-  EXPECT_TRUE(S->HasCheckedArith); // The Add.
-  EXPECT_TRUE(S->WritesReturn);
+  EXPECT_FALSE(S->UnsafeEscapes);
   EXPECT_EQ(S->DepFns.count("inc"), 1u);
 }
 
-TEST_F(InterprocTest, SelfRecursivePureFunctionStaysPure) {
+TEST_F(InterprocTest, SelfRecursivePureFunctionStaysSafe) {
   addFn(callThrough("selfy", "selfy"));
   SummaryTable T = summarize();
   const FnSummary *S = T.fn("selfy");
   ASSERT_NE(S, nullptr);
-  EXPECT_TRUE(S->Known);
-  EXPECT_TRUE(S->Recursive);
-  EXPECT_FALSE(S->Leaf);
   // The optimistic in-SCC seed converges to the least solution: nothing in
-  // the body dirties the heap, so the cycle is pure.
-  EXPECT_TRUE(S->Pure);
+  // the body touches a raw pointer, so no unsafe surface escapes the cycle.
+  EXPECT_FALSE(S->UnsafeOps);
+  EXPECT_FALSE(S->UnsafeEscapes);
+  EXPECT_EQ(S->DepFns.count("selfy"), 1u);
 }
 
-TEST_F(InterprocTest, MutualSccSummariesRecursiveAndPure) {
+TEST_F(InterprocTest, MutualSccSummariesSafeWithWholeCycleClosure) {
   addMutualRecursion();
   SummaryTable T = summarize();
   for (const char *Name : {"even", "odd"}) {
     const FnSummary *S = T.fn(Name);
     ASSERT_NE(S, nullptr) << Name;
-    EXPECT_TRUE(S->Recursive) << Name;
-    EXPECT_TRUE(S->Pure) << Name;
+    EXPECT_FALSE(S->UnsafeEscapes) << Name;
     // Each member's dep closure contains the whole cycle.
     EXPECT_EQ(S->DepFns.count("even"), 1u) << Name;
     EXPECT_EQ(S->DepFns.count("odd"), 1u) << Name;
@@ -274,24 +265,17 @@ TEST_F(InterprocTest, OpaqueCalleePoisonsCallerSummary) {
   SummaryTable T = summarize();
   const FnSummary *S = T.fn("caller");
   ASSERT_NE(S, nullptr);
-  EXPECT_TRUE(S->Known); // The caller's own body is known...
-  EXPECT_FALSE(S->Leaf);
-  EXPECT_FALSE(S->Pure); // ...but the opaque callee makes it conservative.
-  EXPECT_TRUE(S->HeapWrites);
-  EXPECT_TRUE(S->UnsafeEscapes);
+  EXPECT_FALSE(S->UnsafeOps); // The caller's own body is safe...
+  EXPECT_TRUE(S->UnsafeEscapes); // ...but the opaque callee may not be.
   EXPECT_EQ(S->DepFns.count("phantom"), 1u);
 }
 
-TEST_F(InterprocTest, RawPointerWriteImpureAndEscapingWithoutSpec) {
+TEST_F(InterprocTest, RawPointerWriteEscapesWithoutSpec) {
   addFn(rawWrite("store"));
   SummaryTable T = summarize();
   const FnSummary *S = T.fn("store");
   ASSERT_NE(S, nullptr);
-  EXPECT_TRUE(S->HeapWrites);
   EXPECT_TRUE(S->UnsafeOps);
-  EXPECT_FALSE(S->Pure);
-  ASSERT_EQ(S->Params.size(), 1u);
-  EXPECT_TRUE(S->Params[0].Written);
   EXPECT_TRUE(S->UnsafeEscapes); // No spec to contain the unsafety.
 
   // An ownership-bearing spec is a containment boundary.
@@ -506,59 +490,12 @@ TEST_F(InterprocTest, InductivePredicateInSpecCountsAsVariant) {
 }
 
 //===----------------------------------------------------------------------===//
-// Static triage: verdict identity, byte stability, counters
+// Byte stability across worker counts
 //===----------------------------------------------------------------------===//
 
-TEST_F(InterprocTest, TriviallyStaticAcceptsAndRejectsCorrectly) {
-  addTriageEligible("konst");
-  addFn(cleanInc("inc")); // Checked Add: never triaged.
-  addSpec("inc", emp(), emp());
-  SummaryTable T = summarize();
-  EXPECT_TRUE(
-      triviallyStatic(*Prog.lookup("konst"), *Specs.lookup("konst"), T));
-  EXPECT_FALSE(triviallyStatic(*Prog.lookup("inc"), *Specs.lookup("inc"), T));
-}
-
-TEST_F(InterprocTest, TriageVerdictMatchesExecutor) {
-  addTriageEligible("konst");
-
-  // Triage path: the scheduler skips the executor and reports `static`.
-  engine::VerifyReport Triaged;
-  {
-    VerifEnv Env{Prog,   Preds, Specs, Ownables,
-                 Lemmas, Solv,  Auto,  analysis::AnalysisConfig{}};
-    sched::SchedulerConfig SC;
-    Verifier V(Env);
-    std::vector<VerifyReport> Rs = V.verifyAll({"konst"}, SC);
-    ASSERT_EQ(Rs.size(), 1u);
-    Triaged = Rs[0];
-  }
-  EXPECT_TRUE(Triaged.Ok);
-  EXPECT_TRUE(Triaged.Static);
-  EXPECT_TRUE(Triaged.Errors.empty());
-  EXPECT_EQ(Triaged.Solver.EntailQueries, 0u);
-
-  // Executor path (analysis off disables the summary phase and the tier):
-  // the verdict agrees.
-  engine::VerifyReport Executed;
-  {
-    VerifEnv Env{Prog,   Preds, Specs, Ownables,
-                 Lemmas, Solv,  Auto,  analysis::AnalysisConfig{}};
-    Env.Lint.Enabled = false;
-    sched::SchedulerConfig SC;
-    Verifier V(Env);
-    std::vector<VerifyReport> Rs = V.verifyAll({"konst"}, SC);
-    ASSERT_EQ(Rs.size(), 1u);
-    Executed = Rs[0];
-  }
-  EXPECT_TRUE(Executed.Ok);
-  EXPECT_FALSE(Executed.Static);
-  EXPECT_EQ(Triaged.Ok, Executed.Ok);
-}
-
-TEST_F(InterprocTest, TriageByteStableAcrossWorkerCounts) {
+TEST_F(InterprocTest, ReportsByteStableAcrossWorkerCounts) {
   for (int I = 0; I < 3; ++I)
-    addTriageEligible("konst" + std::to_string(I));
+    addConstant("konst" + std::to_string(I));
   for (int I = 0; I < 3; ++I) {
     std::string Name = "f" + std::to_string(I);
     addFn(cleanInc(Name));
@@ -581,7 +518,6 @@ TEST_F(InterprocTest, TriageByteStableAcrossWorkerCounts) {
     std::string Digest = V.lastAnalysis().renderJson() + "\n";
     for (const VerifyReport &R : Rs)
       Digest += R.Func + "|" + (R.Ok ? "ok" : "fail") + "|" +
-                (R.Static ? "static" : "run") + "|" +
                 std::to_string(R.PathsCompleted) + "\n";
     metrics::InterprocReport IP = metrics::Registry::get().interprocReport();
     return std::make_pair(Digest, IP);
@@ -592,8 +528,6 @@ TEST_F(InterprocTest, TriageByteStableAcrossWorkerCounts) {
   EXPECT_EQ(Serial.first, Parallel.first);
   EXPECT_TRUE(Serial.second.Valid);
   EXPECT_TRUE(Parallel.second.Valid);
-  EXPECT_EQ(Serial.second.TriagedStatic, 3u);
-  EXPECT_EQ(Parallel.second.TriagedStatic, 3u);
   EXPECT_EQ(Serial.second.FnSummaries, 6u);
 }
 
@@ -714,8 +648,8 @@ TEST(InterprocIncrTest, WarmAndEditedRunsRecomputeTheSameSummaries) {
   std::filesystem::remove_all(Path);
 }
 
-TEST(InterprocIncrTest, TriagedVerdictsAreCountedButNeverStored) {
-  std::string Path = ::testing::TempDir() + "gilr_interproc_triage_store";
+TEST(InterprocIncrTest, ConstantBodyProvedThenReplayedFromStore) {
+  std::string Path = ::testing::TempDir() + "gilr_interproc_konst_store";
   std::filesystem::remove_all(Path);
   sched::SchedulerConfig SC;
   incr::IncrConfig Inc;
@@ -739,6 +673,8 @@ TEST(InterprocIncrTest, TriagedVerdictsAreCountedButNeverStored) {
     Specs.add(std::move(S));
   };
 
+  // Every verdict comes from the executor or the store: the first run
+  // proves the constant body, the second replays that proof.
   for (int Run = 0; Run < 2; ++Run) {
     rmir::Program Prog;
     PredTable Preds;
@@ -755,13 +691,9 @@ TEST(InterprocIncrTest, TriagedVerdictsAreCountedButNeverStored) {
     std::vector<VerifyReport> Rs = V.verifyAll({"konst"}, SC, Inc, &St);
     ASSERT_EQ(Rs.size(), 1u);
     EXPECT_TRUE(Rs[0].Ok);
-    EXPECT_TRUE(Rs[0].Static);
-    // Triage fires on both runs: the verdict is cheaper to recompute than
-    // to validate, so it is never cached.
-    EXPECT_FALSE(Rs[0].Cached) << "run " << Run;
-    EXPECT_EQ(St.TriagedStatic, 1u) << "run " << Run;
-    EXPECT_EQ(St.CachedUnsafe, 0u) << "run " << Run;
-    EXPECT_EQ(St.VerifiedUnsafe, 0u) << "run " << Run;
+    EXPECT_EQ(Rs[0].Cached, Run == 1) << "run " << Run;
+    EXPECT_EQ(St.VerifiedUnsafe, Run == 0 ? 1u : 0u) << "run " << Run;
+    EXPECT_EQ(St.CachedUnsafe, Run == 1 ? 1u : 0u) << "run " << Run;
   }
   std::filesystem::remove_all(Path);
 }

@@ -2,9 +2,10 @@
 //
 // The scheduler's determinism contract: the LinkedList hybrid proof run
 // through 4 workers produces a machine-readable report byte-identical
-// (timing aside) to the serial run, the shared entailment cache observes
-// real hits, and per-job budgets degrade stuck obligations to a reported
-// Unknown instead of a spurious failure.
+// (timing aside) to the serial run, with and without the entailment memo;
+// the shared entailment cache observes real hits, and per-job budgets
+// degrade stuck obligations to a reported Unknown instead of a spurious
+// failure.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,11 +55,14 @@ TEST_F(SchedDeterminismTest, FourWorkersMatchSerialByteForByte) {
   std::vector<std::string> Funcs = functionalFunctions();
   std::vector<creusot::SafeFn> Clients = makeClients();
 
-  // The pre-scheduler serial path: no cache, no pool.
-  engine::VerifEnv LegacyEnv = Lib->env();
-  hybrid::HybridDriver LegacyDriver(LegacyEnv, Lib->Contracts);
-  hybrid::HybridReport Legacy = LegacyDriver.run(Funcs, Clients);
-  ASSERT_TRUE(Legacy.ok());
+  // The reference: serial, with no entailment memo.
+  sched::SchedulerConfig NoMemo;
+  NoMemo.Threads = 1;
+  NoMemo.CacheCapacity = 0;
+  engine::VerifEnv NoMemoEnv = Lib->env();
+  hybrid::HybridDriver NoMemoDriver(NoMemoEnv, Lib->Contracts);
+  hybrid::HybridReport NoMemoR = NoMemoDriver.run(Funcs, Clients, NoMemo);
+  ASSERT_TRUE(NoMemoR.ok());
 
   sched::SchedulerConfig Serial;
   Serial.Threads = 1;
@@ -74,14 +78,14 @@ TEST_F(SchedDeterminismTest, FourWorkersMatchSerialByteForByte) {
   hybrid::HybridReport ParR = ParDriver.run(Funcs, Clients, Par);
   ASSERT_TRUE(ParR.ok());
 
-  std::string LegacyJson = stripTimings(Legacy.renderJson());
+  std::string NoMemoJson = stripTimings(NoMemoR.renderJson());
   std::string SerialJson = stripTimings(SerialR.renderJson());
   std::string ParJson = stripTimings(ParR.renderJson());
 
   // Cache hits replay the original computation's work counts into the
   // job's stats, so even the solver-work numbers agree everywhere.
   EXPECT_EQ(SerialJson, ParJson);
-  EXPECT_EQ(LegacyJson, SerialJson);
+  EXPECT_EQ(NoMemoJson, SerialJson);
 }
 
 TEST_F(SchedDeterminismTest, ParallelRunIsRepeatable) {
@@ -133,9 +137,11 @@ TEST_F(SchedDeterminismTest, CacheDisabledStillProves) {
 TEST_F(SchedDeterminismTest, VerifyAllSchedulerPathMatchesSerial) {
   std::vector<std::string> Funcs = functionalFunctions();
 
+  sched::SchedulerConfig NoMemo;
+  NoMemo.CacheCapacity = 0;
   engine::VerifEnv Env1 = Lib->env();
   engine::Verifier V1(Env1);
-  std::vector<engine::VerifyReport> Serial = V1.verifyAll(Funcs);
+  std::vector<engine::VerifyReport> Serial = V1.verifyAll(Funcs, NoMemo);
 
   sched::SchedulerConfig C;
   C.Threads = 4;

@@ -4,8 +4,8 @@
 //
 //  * the content-addressed SharedDirBackend round-trips records, replaces
 //    a record when a put for its key brings new bytes, degrades corruption
-//    and foreign files to misses, enforces its size budget in LRU order
-//    (pinned keys exempt), and its GC is idempotent;
+//    and foreign files to misses, enforces its size budget in LRU order,
+//    and its GC is idempotent;
 //  * two backends over the same directory (two daemons, or a daemon and a
 //    CI job) share records under concurrent get/put: a hit is never torn,
 //    and concurrent rewrites of one key leave one whole record;
@@ -16,8 +16,9 @@
 //  * end to end over a real socket: a second submission of an unchanged
 //    module replays every verdict with zero solver work and renders the
 //    byte-identical `verdicts` array, and a *fresh* daemon pointed at the
-//    same cache directory starts warm too; and the daemon does not keep a
-//    thread per request it has served.
+//    same cache directory starts warm too; the daemon's shutdown GC brings
+//    the directory within `--cache-budget`, its own records included; and
+//    the daemon does not keep a thread per request it has served.
 //
 //===----------------------------------------------------------------------===//
 
@@ -191,13 +192,13 @@ TEST(SharedDirBackend, CorruptionAndForeignFilesReadAsMisses) {
   EXPECT_FALSE(B.get(K, Got));
 }
 
-TEST(SharedDirBackend, GcEnforcesBudgetSparesPinnedAndIsIdempotent) {
+TEST(SharedDirBackend, GcEnforcesBudgetAndIsIdempotent) {
   incr::SharedDirConfig C;
   C.Dir = tempDir("gc");
   C.MemCacheEntries = 0;
   incr::SharedDirBackend B(C);
 
-  // Ten records, ~identical sizes; pin one of the oldest.
+  // Ten records, ~identical sizes.
   std::vector<incr::CacheKey> Keys;
   uint64_t RecordBytes = 0;
   for (uint64_t I = 0; I < 10; ++I) {
@@ -213,23 +214,21 @@ TEST(SharedDirBackend, GcEnforcesBudgetSparesPinnedAndIsIdempotent) {
         B.recordPath(K), std::filesystem::file_time_type::clock::now() -
                              std::chrono::seconds(100 - I));
   }
-  B.pin(Keys[0]);
 
   // Budget for roughly four records: GC must evict down to it, oldest
-  // first, skipping the pinned key.
+  // first.
   incr::SharedDirConfig Budgeted = C;
   Budgeted.SizeBudgetBytes = RecordBytes * 4;
   incr::SharedDirBackend Owner(Budgeted);
-  Owner.pin(Keys[0]);
   ASSERT_TRUE(Owner.gc());
   incr::CacheBackendStats St = Owner.stats();
   EXPECT_LE(St.Bytes, Budgeted.SizeBudgetBytes);
   EXPECT_GE(St.Evictions, 1u);
 
   std::string Got;
-  EXPECT_TRUE(Owner.get(Keys[0], Got)) << "pinned record was evicted";
-  // The newest records survive, the oldest unpinned ones go first.
+  // The newest records survive, the oldest go first.
   EXPECT_TRUE(Owner.get(Keys[9], Got));
+  EXPECT_FALSE(Owner.get(Keys[0], Got));
   EXPECT_FALSE(Owner.get(Keys[1], Got));
 
   // Idempotence: a second GC with no intervening traffic evicts nothing.
@@ -693,6 +692,39 @@ TEST_F(ServerEndToEnd, ControlRequestsAndParseFailures) {
   std::ostringstream Out3, Err3;
   Opt.Method = "ping";
   EXPECT_EQ(server::runClient(Opt, Out3, Err3), 4);
+}
+
+/// Bytes of the record files under \p Dir's objects/ tree.
+uint64_t recordBytes(const std::string &Dir) {
+  uint64_t Total = 0;
+  std::error_code EC;
+  for (std::filesystem::recursive_directory_iterator
+           It(Dir + "/objects", EC),
+       End;
+       !EC && It != End; It.increment(EC))
+    if (It->is_regular_file() && It->path().extension() == ".rec")
+      Total += It->file_size();
+  return Total;
+}
+
+TEST_F(ServerEndToEnd, CacheBudgetHoldsAfterShutdown) {
+  std::string Dir = tempDir("budget");
+  server::ServerConfig Cfg;
+  Cfg.SocketPath = Dir + ".sock";
+  Cfg.CacheDir = Dir;
+  Cfg.CacheBudgetBytes = 2000;
+  server::Server S(Cfg);
+  ASSERT_FALSE(startServer(S).empty());
+  for (const char *Module :
+       {"vec.gilr", "stack_safety.gilr", "stack_functional.gilr"})
+    EXPECT_EQ(submit(Cfg.SocketPath, corpusPath(Module)).Exit, 0) << Module;
+  // The runs stored more than the budget; the shutdown GC evicts down to
+  // it, records of the daemon's own runs included.
+  EXPECT_GT(recordBytes(Dir), Cfg.CacheBudgetBytes);
+  S.stop();
+  Serving.join();
+  EXPECT_LE(recordBytes(Dir), Cfg.CacheBudgetBytes);
+  EXPECT_GT(S.backend()->stats().Evictions, 0u);
 }
 
 /// The value of the `Threads:` line of /proc/self/status (running threads),

@@ -87,8 +87,7 @@ TEST(TelemetrySchema, TopLevelKeysAreExactlyTheDocumentedSet) {
         "solver_queries.journal_records", "incremental.cached",
         "incremental.verified", "incremental.salvaged",
         "incremental.implied", "incremental.salvage_queries",
-        "interproc.fn_summaries",
-        "interproc.pred_summaries", "interproc.triaged_static",
+        "interproc.fn_summaries", "interproc.pred_summaries",
         "interproc.seconds"}) {
     json::ValuePtr V = Doc->at(Path);
     ASSERT_TRUE(V) << Path;

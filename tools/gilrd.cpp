@@ -34,7 +34,8 @@ const char *Usage =
     "                       /tmp/gilrd.sock)\n"
     "  --cache-dir DIR      shared content-addressed proof cache directory\n"
     "                       (empty = per-process memory only)\n"
-    "  --cache-budget N     cache size budget in bytes (0 = unbounded)\n"
+    "  --cache-budget N     cache size budget in bytes, enforced at\n"
+    "                       shutdown (0 = unbounded)\n"
     "  --jobs N             default scheduler threads per request\n"
     "  --timeout-ms N       default per-job budget for requests\n"
     "  --max-queued N       global admission queue depth (default 64)\n"
