@@ -284,8 +284,6 @@ void mergeIntern(const json::Value &V, TrendInput &T) {
     T.Metrics["intern.hit_rate"] = N->numberOr(0);
   if (json::ValuePtr N = V.get("simplify_memo_hit_rate"))
     T.Metrics["intern.simplify_memo_hit_rate"] = N->numberOr(0);
-  if (json::ValuePtr N = V.get("speedup"))
-    T.Timings["intern.speedup"] = N->numberOr(0);
 }
 
 /// Flight recorder overhead: cold verify of the LinkedList functional suite

@@ -1,13 +1,12 @@
-//===- bench/bench_intern.cpp - Hash-consing before/after -------------------===//
+//===- bench/bench_intern.cpp - Hash-consing layer counters -----------------===//
 //
-// Before/after harness for the interning layer (sym/Intern.h): runs a
-// shared-subterm-heavy workload — deep SeqConcat/Ite chains rebuilt from
-// scratch every repetition, duplicate-laden path conditions, repeated
-// entailments — once with hash-consing and the simplify memo disabled and
-// once enabled, and writes BENCH_intern.json (wall times, speedup, interned
-// node count, hit rates). No google-benchmark dependency; the two phases
-// must run in a fixed order inside one process, which gbench fixtures do
-// not guarantee.
+// Harness for the interning layer (sym/Intern.h): runs a shared-subterm-
+// heavy workload — deep SeqConcat/Ite chains rebuilt from scratch every
+// repetition, duplicate-laden path conditions, repeated entailments — and
+// writes BENCH_intern.json (wall time, interned node count, intern and
+// simplify-memo hit rates). No google-benchmark dependency: the counters
+// are deltas over one measured run after one warm-up, in a fixed order
+// inside one process, which gbench fixtures do not guarantee.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,10 +30,9 @@ using Clock = std::chrono::steady_clock;
 /// layer — the shape produce/consume loops generate when re-materialising
 /// list assertions. Each layer references the previous one *twice* (in both
 /// Ite arms), so the chain is a linear-size DAG whose tree unfolding is
-/// exponential: identity-blind traversals (un-memoized simplify) pay
-/// O(2^depth) while the interned path stays O(depth). Depths here must stay
-/// modest or the baseline phase never finishes. \p Salt varies the leaves
-/// so the workload is not one single term.
+/// exponential: identity-blind traversals (un-memoized simplify) would pay
+/// O(2^depth) while the interned path stays O(depth). \p Salt varies the
+/// leaves so the workload is not one single term.
 Expr buildChain(int Depth, int Salt) {
   Expr X = mkVar("ix" + std::to_string(Salt), Sort::Int);
   Expr Acc = mkSeqUnit(X);
@@ -47,9 +45,9 @@ Expr buildChain(int Depth, int Salt) {
 
 /// One workload unit: rebuild the chain, simplify a length obligation over
 /// it, grow a path condition with a duplicate-heavy fact stream, and answer
-/// an entailment. Returns a sink value so nothing is optimised away.
-uint64_t runWorkload(int Reps, int Depth) {
-  uint64_t Sink = 0;
+/// an entailment. Every step fills the process-wide intern and memo tables,
+/// so none of it can be optimised away.
+void runWorkload(int Reps, int Depth) {
   Solver S;
   S.MaxBranches = 500;
   for (int R = 0; R != Reps; ++R) {
@@ -58,7 +56,7 @@ uint64_t runWorkload(int Reps, int Depth) {
         mkAnd(mkLe(mkInt(0), mkSeqLen(Chain)),
               mkLe(mkSeqLen(mkSeqSub(Chain, mkInt(0), mkInt(1))),
                    mkSeqLen(Chain)));
-    Sink += simplify(Obligation)->Kids.size();
+    simplify(Obligation);
 
     PathCondition PC;
     for (int I = 0; I != 64; ++I) {
@@ -67,29 +65,8 @@ uint64_t runWorkload(int Reps, int Depth) {
       Expr Bound = mkInt(I % 2 == 0 ? 0 : -(I / 2));
       PC.add(mkLe(Bound, mkSeqLen(Small)));
     }
-    Sink += PC.size();
-    if (PC.entails(S, mkLe(mkInt(0),
-                           mkSeqLen(buildChain(Depth / 3, R % 4)))))
-      ++Sink;
+    PC.entails(S, mkLe(mkInt(0), mkSeqLen(buildChain(Depth / 3, R % 4))));
   }
-  return Sink;
-}
-
-struct Phase {
-  double Ms = 0;
-  uint64_t Sink = 0;
-};
-
-Phase runPhase(bool Enabled, int Reps, int Depth) {
-  bool PrevIntern = setInterningEnabled(Enabled);
-  bool PrevMemo = setSimplifyMemoEnabled(Enabled);
-  auto T0 = Clock::now();
-  Phase P;
-  P.Sink = runWorkload(Reps, Depth);
-  P.Ms = std::chrono::duration<double, std::milli>(Clock::now() - T0).count();
-  setInterningEnabled(PrevIntern);
-  setSimplifyMemoEnabled(PrevMemo);
-  return P;
 }
 
 } // namespace
@@ -99,26 +76,18 @@ int main(int Argc, char **Argv) {
   const int Reps = 24;
   const int Depth = 16;
 
-  // Warm both configurations once so neither phase pays first-touch costs.
-  runPhase(false, 2, Depth);
-  runPhase(true, 2, Depth);
-
-  Phase Baseline = runPhase(false, Reps, Depth);
+  // Warm up once so the measured run pays no first-touch costs.
+  runWorkload(2, Depth);
 
   InternStats I0 = internStats();
   SimplifyStats M0 = simplifyMemoStats();
-  Phase Interned = runPhase(true, Reps, Depth);
+  auto T0 = Clock::now();
+  runWorkload(Reps, Depth);
+  double Ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - T0).count();
   InternStats I1 = internStats();
   SimplifyStats M1 = simplifyMemoStats();
 
-  if (Baseline.Sink != Interned.Sink)
-    std::fprintf(stderr,
-                 "warning: phases disagree on the workload sink "
-                 "(%llu vs %llu)\n",
-                 static_cast<unsigned long long>(Baseline.Sink),
-                 static_cast<unsigned long long>(Interned.Sink));
-
-  double Speedup = Interned.Ms > 0 ? Baseline.Ms / Interned.Ms : 0;
   uint64_t Lookups = (I1.Hits - I0.Hits) + (I1.Misses - I0.Misses);
   double InternHitRate =
       Lookups ? static_cast<double>(I1.Hits - I0.Hits) / Lookups : 0;
@@ -136,9 +105,7 @@ int main(int Argc, char **Argv) {
                "  \"workload\": \"shared-subterm SeqConcat/Ite chains "
                "(depth %d, %d reps)\",\n",
                Depth, Reps);
-  std::fprintf(Out, "  \"baseline_ms\": %.3f,\n", Baseline.Ms);
-  std::fprintf(Out, "  \"interned_ms\": %.3f,\n", Interned.Ms);
-  std::fprintf(Out, "  \"speedup\": %.3f,\n", Speedup);
+  std::fprintf(Out, "  \"interned_ms\": %.3f,\n", Ms);
   std::fprintf(Out, "  \"interned_nodes\": %llu,\n",
                static_cast<unsigned long long>(I1.Nodes));
   std::fprintf(Out, "  \"intern_hit_rate\": %.4f,\n", InternHitRate);
@@ -146,9 +113,9 @@ int main(int Argc, char **Argv) {
   std::fprintf(Out, "}\n");
   std::fclose(Out);
 
-  std::printf("bench_intern: baseline %.1f ms, interned %.1f ms "
-              "(%.2fx), %llu nodes, simplify memo hit rate %.1f%%\n",
-              Baseline.Ms, Interned.Ms, Speedup,
-              static_cast<unsigned long long>(I1.Nodes), MemoHitRate * 100);
+  std::printf("bench_intern: %.1f ms, %llu nodes, intern hit rate %.1f%%, "
+              "simplify memo hit rate %.1f%%\n",
+              Ms, static_cast<unsigned long long>(I1.Nodes),
+              InternHitRate * 100, MemoHitRate * 100);
   return 0;
 }

@@ -18,8 +18,9 @@
 /// while another process rewrites it, or torn by a crash, reads as a miss,
 /// never as a wrong verdict. Gets refresh the record's mtime so the
 /// size-budgeted GC evicts in LRU order (to the minute). gilrd runs the GC
-/// at shutdown, after its last run; a record evicted under another
-/// process's live run costs that run a miss, never a wrong verdict.
+/// after each run under a size budget, and at shutdown; a record evicted
+/// under another process's live run costs that run a miss, never a wrong
+/// verdict.
 ///
 /// Blobs are the records of incr/ProofStore.h: obligation records under
 /// obligationCacheKey, and one solver-entry block under the reserved

@@ -6,34 +6,10 @@ using namespace gilr;
 using namespace gilr::incr;
 
 void DepGraph::record(const ObligationId &Ob, std::set<DepKey> Deps) {
-  auto It = Fwd.find(Ob);
-  if (It != Fwd.end()) {
-    // Re-recording (a re-verified obligation): drop the stale reverse
-    // edges first.
-    for (const DepKey &Old : It->second) {
-      auto RevIt = Rev.find(Old);
-      if (RevIt != Rev.end()) {
-        RevIt->second.erase(Ob);
-        if (RevIt->second.empty())
-          Rev.erase(RevIt);
-      }
-    }
-    It->second = std::move(Deps);
-  } else {
-    It = Fwd.emplace(Ob, std::move(Deps)).first;
-  }
-  for (const DepKey &K : It->second)
-    Rev[K].insert(Ob);
+  Fwd[Ob] = std::move(Deps);
 }
 
 const std::set<DepKey> *DepGraph::depsOf(const ObligationId &Ob) const {
   auto It = Fwd.find(Ob);
   return It == Fwd.end() ? nullptr : &It->second;
-}
-
-std::vector<ObligationId> DepGraph::dependentsOf(const DepKey &Key) const {
-  auto It = Rev.find(Key);
-  if (It == Rev.end())
-    return {};
-  return std::vector<ObligationId>(It->second.begin(), It->second.end());
 }

@@ -3,8 +3,11 @@
 /// \file
 /// Records, per proof obligation, the set of entities the proof *actually
 /// consulted* (via the support/Deps.h hook instrumented in the tables and
-/// verifiers), and maintains the reverse index so an edit to one entity
-/// invalidates exactly its transitive dependents. Gillian's compositional,
+/// verifiers): the run's in-memory view of the dependencies each store
+/// record keeps with their fingerprints. Invalidation does not go through
+/// this graph: Session::checkDeps re-validates a record's stored
+/// fingerprints on lookup, so an edit to one entity invalidates exactly the
+/// obligations that consulted it. Gillian's compositional,
 /// per-procedure design makes each obligation's proof self-contained: the
 /// dependencies recorded while verifying it are the *only* inputs that can
 /// change its verdict (plus its own body/statement and the automation
@@ -21,7 +24,6 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <vector>
 
 namespace gilr {
 namespace incr {
@@ -83,7 +85,7 @@ private:
   std::set<DepKey> Taken;
 };
 
-/// The forward and reverse dependency index of one verification session.
+/// The dependency sets of one verification session's obligations.
 /// Not thread-safe: incr::Session serialises access under its own lock.
 class DepGraph {
 public:
@@ -93,14 +95,10 @@ public:
   /// The recorded dependencies of \p Ob, or nullptr.
   const std::set<DepKey> *depsOf(const ObligationId &Ob) const;
 
-  /// Every obligation whose recorded proof consulted \p Key.
-  std::vector<ObligationId> dependentsOf(const DepKey &Key) const;
-
   std::size_t size() const { return Fwd.size(); }
 
 private:
   std::map<ObligationId, std::set<DepKey>> Fwd;
-  std::map<DepKey, std::set<ObligationId>> Rev;
 };
 
 } // namespace incr

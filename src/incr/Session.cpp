@@ -219,8 +219,8 @@ bool Session::lookup(Side S, const std::string &Name, uint64_t SelfFp,
     else
       bump(S == Side::Unsafe ? Stats.CachedUnsafe : Stats.CachedSafe,
            "incr.cached");
-    // The stored deps stay current (nothing changed), so the graph keeps
-    // answering dependentsOf precisely on warm runs too.
+    // The stored deps stay current (nothing changed), so the graph holds
+    // every obligation's deps on warm runs too.
     std::set<DepKey> Deps;
     for (const StoredDep &D : Ob.Deps)
       Deps.insert(DepKey{D.K, D.Name});

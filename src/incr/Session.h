@@ -67,8 +67,8 @@ struct IncrConfig {
   bool SemanticSalvage = true;
   /// Externally owned store, overriding StorePath — the gilrd daemon shares
   /// one resident backend across requests. Non-owning: the owner runs its
-  /// GC, and only while no session over the store is live (gilrd runs it
-  /// at shutdown, after its last run).
+  /// GC, and only while no run uses the store (gilrd runs it after each
+  /// run's flush when it has a size budget, and at shutdown).
   SharedDirBackend *Backend = nullptr;
 };
 

@@ -143,19 +143,6 @@ private:
   std::atomic<uint64_t> Evictions{0};
 };
 
-/// RAII: installs \p C as the process-wide query memo for the current
-/// scope, restoring the previous memo on destruction.
-class ScopedQueryCache {
-public:
-  explicit ScopedQueryCache(QueryCache *C) : Prev(setQueryMemo(C)) {}
-  ~ScopedQueryCache() { setQueryMemo(Prev); }
-  ScopedQueryCache(const ScopedQueryCache &) = delete;
-  ScopedQueryCache &operator=(const ScopedQueryCache &) = delete;
-
-private:
-  QueryMemo *Prev;
-};
-
 } // namespace sched
 } // namespace gilr
 

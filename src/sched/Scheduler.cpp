@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <optional>
+#include <utility>
 
 using namespace gilr;
 using namespace gilr::sched;
@@ -97,10 +98,6 @@ void recordInterprocReport(const analysis::SummaryTable &T, double Seconds) {
 void Scheduler::runJobs(
     const JobGraph &G,
     const std::function<void(const ProofJob &)> &RunOne) {
-  // The cache is installed process-wide for the duration of the run; the
-  // pool's synchronisation publishes it to the workers.
-  ScopedQueryCache Install(Cache.get());
-
   if (trace::enabled())
     metrics::Registry::get().add("sched.jobs", G.Jobs.size());
 
@@ -188,6 +185,10 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
   hybrid::HybridReport Report;
   Report.UnsafeSide.resize(UnsafeFuncs.size());
   Report.SafeSide.resize(Clients.size());
+  // Every query of the run goes through Env.Solv, so the run's cache is its
+  // memo until the run ends; the pool's synchronisation publishes it to
+  // the workers.
+  QueryMemo *CallerMemo = std::exchange(Env.Solv.Memo, Cache.get());
 
   std::vector<std::pair<std::string, analysis::EntityVerdict>> Verdicts;
   std::optional<analysis::SummaryTable> Summaries;
@@ -260,6 +261,7 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
   });
   if (Summaries)
     recordInterprocReport(*Summaries, SummarySeconds);
+  Env.Solv.Memo = CallerMemo;
   return Report;
 }
 

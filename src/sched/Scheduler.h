@@ -88,9 +88,9 @@ public:
   const SchedulerConfig &config() const { return Config; }
 
   /// The entailment cache (nullptr when CacheCapacity == 0). The mutable
-  /// form exists so a caller can install the cache as the query memo
-  /// (ScopedQueryCache) around pre-run solver work — lemma registration,
-  /// contract encoding — which runs before runHybrid installs it itself.
+  /// form exists so a caller can make it its solver's \c Memo for pre-run
+  /// solver work — lemma registration, contract encoding — which runs
+  /// before runHybrid points Env.Solv at it for the run.
   const QueryCache *cache() const { return Cache.get(); }
   QueryCache *cache() { return Cache.get(); }
 

@@ -309,18 +309,15 @@ void Server::runModule(
       UnsafeFuncs.push_back(KV.first);
     Clients = M.Clients;
   }
-  std::vector<std::string> Errors;
-  {
-    // Lemma qualification and contract encoding run solver queries before
-    // runHybrid installs the scheduler's memo; install it here too so a
-    // warm request replays them from the resident entries.
-    sched::ScopedQueryCache Warm(S.cache());
-    Errors = M.registerLemmas();
-    for (const std::string &Fn : UnsafeFuncs)
-      if (!M.Specs.lookup(Fn) && M.Contracts.lookup(Fn))
-        if (Outcome<Unit> E = Driver.encodeAndRegister(Fn); !E.ok())
-          Errors.push_back("encode " + Fn + ": " + E.error());
-  }
+  // Lemma qualification and contract encoding run solver queries before
+  // runHybrid points the module's solver at the scheduler's memo; point it
+  // there now so a warm request replays them from the resident entries.
+  M.Solv.Memo = S.cache();
+  std::vector<std::string> Errors = M.registerLemmas();
+  for (const std::string &Fn : UnsafeFuncs)
+    if (!M.Specs.lookup(Fn) && M.Contracts.lookup(Fn))
+      if (Outcome<Unit> E = Driver.encodeAndRegister(Fn); !E.ok())
+        Errors.push_back("encode " + Fn + ": " + E.error());
 
   incr::IncrConfig IC;
   IC.Enabled = true;
@@ -334,6 +331,10 @@ void Server::runModule(
   ResidentSolverEntries.store(ResidentSolver.size(),
                               std::memory_order_relaxed);
   Sess.flush();
+  // The run is over and EngineMu keeps the next one out, so no run uses
+  // the store: hold the directory to its budget before replying.
+  if (Cfg.CacheBudgetBytes > 0 && Backend)
+    Backend->gc();
 
   int Exit = ServerExitOk;
   if (!Report.Analysis.ok() || Report.Analysis.EntitiesBlocked > 0)

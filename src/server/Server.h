@@ -16,13 +16,14 @@
 ///
 /// Concurrency model: connections are handled on one thread each, but
 /// verification runs are serialized through the admission queue
-/// (server/Admission.h) — the intern tables and the run-scoped query-cache
-/// installation are process state, so only one run may be active; requests
-/// admitted behind it queue fairly per client. Parallelism *within* a run
-/// is the scheduler's (the request's `jobs` field). A handler thread ends
-/// when its connection closes, and the accept loop joins finished handlers
-/// on each pass (at least every 200 ms), so the daemon holds threads only
-/// for open connections, however many requests it has served.
+/// (server/Admission.h) — a result's solver counters are a delta of the
+/// process-wide ones, and the cache GC must not run under a live run, so
+/// only one run may be active; requests admitted behind it queue fairly per
+/// client. Parallelism *within* a run is the scheduler's (the request's
+/// `jobs` field). A handler thread ends when its connection closes, and the
+/// accept loop joins finished handlers on each pass (at least every
+/// 200 ms), so the daemon holds threads only for open connections, however
+/// many requests it has served.
 ///
 /// Shutdown is graceful: a `shutdown` request (or \c stop()) stops the
 /// accept loop, wakes queued requests with an error, drains the in-flight
@@ -59,9 +60,9 @@ struct ServerConfig {
   /// (incr::SharedDirConfig::Dir). Empty = no proof cache; only the
   /// resident solver entries carry warmth between requests.
   std::string CacheDir;
-  /// Size budget of the cache directory, enforced by LRU GC at shutdown,
-  /// after the last run (0 = unlimited). The directory may exceed it while
-  /// the daemon serves.
+  /// Size budget of the cache directory, enforced by LRU GC after every
+  /// verify run (before its result is sent) and at shutdown (0 =
+  /// unlimited: no GC runs between requests).
   uint64_t CacheBudgetBytes = 0;
   /// Default scheduler threads per request (a request's `jobs` overrides).
   unsigned Jobs = 1;

@@ -106,18 +106,6 @@ int Congruence::constructorCompat(const Expr &A, const Expr &B) const {
   return 2;
 }
 
-uint64_t Congruence::nameSymbol(const ExprNode &N) {
-  if (N.Name.empty())
-    return 0;
-  if (N.NameSym != 0)
-    return N.NameSym;
-  auto [It, Inserted] =
-      LocalNameIds.emplace(N.Name, 0);
-  if (Inserted)
-    It->second = (uint64_t(1) << 63) | LocalNameIds.size();
-  return It->second;
-}
-
 int Congruence::find(int I) {
   while (Nodes[I].Parent != I) {
     Nodes[I].Parent = Nodes[Nodes[I].Parent].Parent;
@@ -169,7 +157,7 @@ bool Congruence::sameSignature(int A, int B) {
   const ExprNode &TA = *Nodes[A].Term;
   const ExprNode &TB = *Nodes[B].Term;
   if (TA.Kind != TB.Kind || TA.Index != TB.Index ||
-      TA.Kids.size() != TB.Kids.size() || nameSymbol(TA) != nameSymbol(TB))
+      TA.Kids.size() != TB.Kids.size() || TA.NameSym != TB.NameSym)
     return false;
   for (std::size_t K = 0, E = TA.Kids.size(); K != E; ++K)
     if (find(kid(A, K)) != find(kid(B, K)))
@@ -231,7 +219,7 @@ bool Congruence::saturate() {
         return (H ^ V) * 0x9E3779B97F4A7C15ull;
       };
       uint64_t H = mix(mix(mix(0, static_cast<uint64_t>(T.Kind)), T.Index),
-                       nameSymbol(T));
+                       T.NameSym);
       for (std::size_t K = 0, E = T.Kids.size(); K != E; ++K)
         H = mix(H, static_cast<uint64_t>(find(kid(Node, K))));
       for (std::size_t Slot = (H >> 32) & (Slots - 1);;

@@ -17,8 +17,6 @@
 #include "solver/TermIndex.h"
 #include "sym/Expr.h"
 
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace gilr {
@@ -109,11 +107,6 @@ private:
   /// True if nodes \p A and \p B have the same kind, index, name, arity and
   /// kid classes: the congruence pass's signature.
   bool sameSignature(int A, int B);
-  /// Symbol id of \p N's Name for the signature pass: 0 for unnamed nodes,
-  /// the global interned NameSym when present, else a high-bit-tagged local
-  /// id (foreign nodes only) so foreign names can never collide with
-  /// interned ones.
-  uint64_t nameSymbol(const ExprNode &N);
   bool isConstructorLike(const Expr &E) const;
   /// Returns 0 if two constructor-like terms are compatible roots (same
   /// shape), 1 if identical-by-payload, -1 if definitely clashing.
@@ -123,9 +116,6 @@ private:
   /// The kid ids of every node, node after node.
   std::vector<int> KidIds;
   TermIndex TermIds;
-  /// Fallback symbol ids for foreign (un-interned) names in the signature
-  /// pass; global NameSym ids are used when available.
-  std::unordered_map<std::string, uint64_t> LocalNameIds;
   std::vector<std::pair<int, int>> Pending;
   std::vector<std::pair<int, int>> Disequalities;
   /// Per class root: the witness node id (a constructor or literal member,

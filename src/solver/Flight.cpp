@@ -50,8 +50,7 @@ struct RecorderState {
   std::vector<std::pair<std::size_t, std::size_t>> TextSpans;
   std::vector<Expr> TextNodes;
   /// Interned node id -> text id + 1 (0: not seen this session). A flat
-  /// table, 8 bytes per interned node: interned ids are dense. Foreign
-  /// nodes (id 0) get a text per occurrence.
+  /// table, 8 bytes per interned node: interned ids are dense.
   std::vector<std::size_t> TextOfNode;
   uint64_t Dropped = 0;
   bool AtExitRegistered = false;
@@ -118,7 +117,7 @@ void appendRecord(journal::Record R, const std::string &Obligation,
         if (A->Id >= S.TextOfNode.size())
           S.TextOfNode.resize(A->Id + 1);
         std::size_t &Text = S.TextOfNode[A->Id];
-        if (Text == 0 || A->Id == 0) {
+        if (Text == 0) {
           std::size_t Begin = S.TextArena.size();
           S.TextArena += journal::exprToJournal(A);
           S.TextSpans.push_back({Begin, S.TextArena.size() - Begin});

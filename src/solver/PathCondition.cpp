@@ -21,16 +21,9 @@ bool PathCondition::add(const Expr &Fact) {
       add(Kid);
     return !TriviallyFalse;
   }
-  // Drop exact duplicates: O(1) via the CanonId set for interned facts; the
-  // linear scan only runs for foreign nodes (interning disabled).
-  if (F->CanonId != 0) {
-    if (!FactIds.insert(F->CanonId).second)
-      return !TriviallyFalse;
-  } else {
-    for (const Expr &Existing : Facts)
-      if (exprEquals(Existing, F))
-        return !TriviallyFalse;
-  }
+  // Drop exact duplicates: O(1) via the CanonId set.
+  if (!FactIds.insert(F->CanonId).second)
+    return !TriviallyFalse;
   Facts.push_back(F);
   return true;
 }
@@ -47,23 +40,17 @@ bool PathCondition::entails(Solver &S, const Expr &Goal) const {
   Expr G = simplify(Goal);
   if (isTrueLit(G))
     return true;
-  // Foreign goals (interning disabled) have no stable identity; skip the
-  // memo — re-querying is sound, just slower.
   uint64_t Key = G->CanonId;
-  if (Key != 0) {
-    auto Hit = ProvenAt.find(Key);
-    if (Hit != ProvenAt.end() && Hit->second <= Facts.size())
-      return true; // Monotone: more facts cannot unprove it.
-    auto Miss = RefutedAt.find(Key);
-    if (Miss != RefutedAt.end() && Miss->second == Facts.size())
-      return false; // Same context: same answer.
-  }
+  auto Hit = ProvenAt.find(Key);
+  if (Hit != ProvenAt.end() && Hit->second <= Facts.size())
+    return true; // Monotone: more facts cannot unprove it.
+  auto Miss = RefutedAt.find(Key);
+  if (Miss != RefutedAt.end() && Miss->second == Facts.size())
+    return false; // Same context: same answer.
   bool R = S.entails(Facts, G);
-  if (Key != 0) {
-    if (R)
-      ProvenAt[Key] = Facts.size();
-    else
-      RefutedAt[Key] = Facts.size();
-  }
+  if (R)
+    ProvenAt[Key] = Facts.size();
+  else
+    RefutedAt[Key] = Facts.size();
   return R;
 }

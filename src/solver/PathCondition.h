@@ -46,15 +46,13 @@ public:
 private:
   std::vector<Expr> Facts;
   /// Intern CanonIds of the recorded facts, for O(1) duplicate detection in
-  /// \c add. Foreign (un-interned) facts are absent and fall back to the
-  /// linear scan.
+  /// \c add.
   std::unordered_set<uint64_t> FactIds;
   bool TriviallyFalse = false;
-  /// Positive-entailment cache keyed by the goal's intern CanonId (foreign
-  /// goals are never cached): facts are append-only, so a goal proven from
-  /// a prefix of the facts stays proven (monotonicity). Negative results
-  /// are cached per fact count. Mutable: caching is semantically
-  /// transparent.
+  /// Positive-entailment cache keyed by the goal's intern CanonId: facts
+  /// are append-only, so a goal proven from a prefix of the facts stays
+  /// proven (monotonicity). Negative results are cached per fact count.
+  /// Mutable: caching is semantically transparent.
   mutable std::unordered_map<uint64_t, std::size_t> ProvenAt;
   mutable std::unordered_map<uint64_t, std::size_t> RefutedAt;
 };

@@ -26,17 +26,6 @@ const char *verdictName(uint8_t V) {
   }
 }
 
-/// Uninstalls the process-wide query memo for the duration of the replay so
-/// re-solved verdicts cannot be served from (or pollute) a live cache.
-class ScopedNoMemo {
-public:
-  ScopedNoMemo() : Prev(setQueryMemo(nullptr)) {}
-  ~ScopedNoMemo() { setQueryMemo(Prev); }
-
-private:
-  QueryMemo *Prev;
-};
-
 } // namespace
 
 ReplayResult replay::replayJournalText(const std::string &Text,
@@ -69,9 +58,8 @@ ReplayResult replay::replayJournalText(const std::string &Text,
     Queries.resize(O.Limit);
 
   flight::Pause Paused;
-  ScopedNoMemo NoMemo;
   for (const journal::Record *R : Queries) {
-    Solver S;
+    Solver S; // No memo: every verdict is re-solved.
     if (R->MaxBranches > 0)
       S.MaxBranches = R->MaxBranches;
     uint64_t T0 = trace::nowNs();

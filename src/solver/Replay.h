@@ -7,8 +7,8 @@
 ///
 /// Replay semantics: each \c query record's assertion set is re-solved from
 /// scratch under the recorded DPLL budget, with the flight recorder paused
-/// and no query memo installed, so the replay is a pure function of the
-/// journal. Verdict comparison is asymmetric by design:
+/// and by a fresh solver with no query memo, so the replay is a pure
+/// function of the journal. Verdict comparison is asymmetric by design:
 ///
 ///  - a recorded \b definite verdict (sat/unsat) that replays differently
 ///    is a \b divergence — the solver or the journal codec changed meaning;
@@ -73,7 +73,7 @@ struct ReplayResult {
   }
 };
 
-/// Replays the journal in \p Text. Pure: installs no memo, pauses the
+/// Replays the journal in \p Text. Pure: consults no memo, pauses the
 /// flight recorder, leaves no state behind.
 ReplayResult replayJournalText(const std::string &Text,
                                const ReplayOptions &O = {});

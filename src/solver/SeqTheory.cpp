@@ -136,14 +136,9 @@ bool seqShaped(const Expr &E) {
          E->Kind == ExprKind::SeqNil || E->Kind == ExprKind::SeqSub;
 }
 
-/// Fact identity: intern CanonId when available (exact), structural hash
-/// with the top bit set for foreign nodes; lowest bit carries polarity.
+/// Fact identity: the intern CanonId (exact); lowest bit carries polarity.
 uint64_t factKey(const Literal &L) {
-  uint64_t Id = L.first->CanonId != 0
-                    ? L.first->CanonId
-                    : (static_cast<uint64_t>(L.first->hash()) |
-                       (uint64_t(1) << 62));
-  return (Id << 1) | (L.second ? 1 : 0);
+  return (L.first->CanonId << 1) | (L.second ? 1 : 0);
 }
 
 void capped(const char *Cap) {

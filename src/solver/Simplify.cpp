@@ -61,10 +61,7 @@ bool gilr::setSimplifyMemoEnabled(bool Enabled) {
 Expr gilr::simplify(const Expr &E) {
   if (!E || E->Kids.empty())
     return E;
-  // Foreign (un-interned) nodes have no stable identity to key on; they only
-  // appear when interning is disabled for benchmarking.
-  const bool UseMemo =
-      E->Id != 0 && MemoEnabled.load(std::memory_order_acquire);
+  const bool UseMemo = MemoEnabled.load(std::memory_order_acquire);
   if (UseMemo) {
     MemoShard &Sh = memoShards()[memoShardOf(E->Id)];
     std::lock_guard<std::mutex> Lock(Sh.Mu);
@@ -84,7 +81,7 @@ Expr gilr::simplify(const Expr &E) {
     memoStore(E->Id, R);
     // Seed the fixpoint too: simplify(simplify(e)) is e's result by
     // construction, so record R -> R and save the re-walk.
-    if (R && R->Id != 0 && R->Id != E->Id && !R->Kids.empty())
+    if (R->Id != E->Id && !R->Kids.empty())
       memoStore(R->Id, R);
   }
   return R;

@@ -38,9 +38,8 @@ struct SimplifyStats {
 SimplifyStats simplifyMemoStats();
 
 /// Enables/disables the simplify memo and returns the previous setting. On
-/// by default; disabling exists for before/after benchmarking and for tests
-/// that must observe un-memoized behaviour. Toggle only while no other
-/// thread is simplifying.
+/// by default; disabling exists for tests that must observe un-memoized
+/// behaviour. Toggle only while no other thread is simplifying.
 bool setSimplifyMemoEnabled(bool Enabled);
 
 /// Returns the negation of \p E with the negation pushed into comparisons:

@@ -12,7 +12,6 @@
 #include "sym/ExprBuilder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
 
@@ -30,26 +29,12 @@ void bump(RelaxedCounter SolverStats::*F) {
   ++(metrics::threadSolverStats().*F);
 }
 
-/// The process-wide query memo (installed by the scheduler; see
-/// sched/QueryCache.h). Relaxed is fine: installation happens-before the
-/// worker threads start via the pool's synchronisation.
-std::atomic<QueryMemo *> ActiveMemo{nullptr};
-
 /// splitmix64 finaliser: decorrelates the check hash from the primary one.
 uint64_t mix64(uint64_t X) {
   X += 0x9e3779b97f4a7c15ull;
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
   X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
   return X ^ (X >> 31);
-}
-
-/// The memo identity of one assertion: its intern CanonId (equal formulas
-/// share one per run), or its structural hash with the top bit set when the
-/// node is foreign (interning disabled for benchmarking).
-uint64_t assertionFpId(const Expr &E) {
-  if (E->CanonId != 0)
-    return E->CanonId;
-  return static_cast<uint64_t>(E->hash()) | (uint64_t(1) << 63);
 }
 
 /// Order-insensitive structural fingerprint of an entails query. Used to
@@ -59,13 +44,13 @@ uint64_t entailFingerprint(const std::vector<Expr> &Ctx, const Expr &Goal) {
   std::vector<uint64_t> Ids;
   Ids.reserve(Ctx.size());
   for (const Expr &A : Ctx)
-    Ids.push_back(assertionFpId(A));
+    Ids.push_back(A->CanonId);
   std::sort(Ids.begin(), Ids.end()); // Context order is irrelevant.
   std::size_t Seed = 0x5eed;
   for (uint64_t Id : Ids)
     hashCombine(Seed, static_cast<std::size_t>(Id));
   hashCombine(Seed, Ctx.size());
-  hashCombine(Seed, static_cast<std::size_t>(assertionFpId(Goal)));
+  hashCombine(Seed, static_cast<std::size_t>(Goal->CanonId));
   return static_cast<uint64_t>(Seed);
 }
 
@@ -93,7 +78,7 @@ void gilr::satQueryFingerprint(const std::vector<Expr> &Work,
   std::vector<uint64_t> Ids;
   Ids.reserve(Work.size());
   for (const Expr &A : Work)
-    Ids.push_back(assertionFpId(A));
+    Ids.push_back(A->CanonId); // Equal formulas share one per process.
   std::sort(Ids.begin(), Ids.end()); // Assertion order is irrelevant.
   satFingerprintFromIds(Ids, MaxBranches, Fp, Fp2);
 }
@@ -107,14 +92,6 @@ void gilr::stableQueryFingerprint(const std::vector<Expr> &Work,
     Ids.push_back(exprStableHash(A));
   std::sort(Ids.begin(), Ids.end()); // Assertion order is irrelevant.
   satFingerprintFromIds(Ids, MaxBranches, Fp, Fp2);
-}
-
-QueryMemo *gilr::setQueryMemo(QueryMemo *M) {
-  return ActiveMemo.exchange(M);
-}
-
-QueryMemo *gilr::queryMemo() {
-  return ActiveMemo.load(std::memory_order_relaxed);
 }
 
 void ChainQuery::stableFingerprint(uint64_t &Fp, uint64_t &Fp2) const {
@@ -157,7 +134,7 @@ private:
 
 namespace {
 
-/// The memo layer: consults the process-wide QueryMemo (the scheduler's
+/// The memo layer: consults the solver's QueryMemo (the scheduler's
 /// QueryCache) before delegating to the core search. Only Sat/Unsat are
 /// ever stored, so a hit returns exactly what the search would compute; the
 /// memoised work delta is replayed into the thread-local job stats to keep
@@ -215,13 +192,13 @@ SatResult Solver::checkSat(const std::vector<Expr> &Assertions) {
 
   ChainQuery Q{Work, MaxBranches};
   CoreSolverLayer Core(*this);
-  MemoSolverLayer Memo(queryMemo(), Core);
+  MemoSolverLayer Memoised(Memo, Core);
   // The flight recorder stacks its timing/journal decorators above the memo
   // when enabled; otherwise Top is the memo layer and the only extra cost
   // of the chain is one virtual dispatch.
-  flight::TimingSolver Timing(Memo);
+  flight::TimingSolver Timing(Memoised);
   flight::QueryJournalSolver Journal(Timing);
-  SolverLayer *Top = &Memo;
+  SolverLayer *Top = &Memoised;
   if (flight::timingEnabled())
     Top = flight::journalEnabled() ? static_cast<SolverLayer *>(&Journal)
                                    : &Timing;

@@ -14,8 +14,9 @@
 /// than admitting it.
 ///
 /// Memoisation: before the DPLL search, \c checkSat (and therefore
-/// \c entails, which delegates to it) consults the process-wide \c QueryMemo
-/// if one is installed (the scheduler's sharded QueryCache, src/sched/).
+/// \c entails, which delegates to it) consults the solver's \c QueryMemo
+/// if it has one (\c Solver::Memo; the scheduler points it at its sharded
+/// QueryCache, src/sched/, for the duration of a run).
 /// Only definite \c Sat / \c Unsat verdicts are ever memoised — \c Unknown
 /// results (budget or depth exhaustion) are recomputed every time — so a
 /// cached answer is always the answer the full search would produce.
@@ -86,10 +87,10 @@ public:
 };
 
 /// Computes the memo fingerprint of a checkSat query over the simplified
-/// assertion set \p Work: assertions are mapped to their intern CanonIds
-/// (structural hash with the top bit set for foreign nodes), sorted for
-/// order-insensitivity, and hashed *positionally* — unlike a commutative
-/// sum, two different multisets of ids cannot cancel into the same value.
+/// assertion set \p Work: assertions are mapped to their intern CanonIds,
+/// sorted for order-insensitivity, and hashed *positionally* — unlike a
+/// commutative sum, two different multisets of ids cannot cancel into the
+/// same value.
 /// \p Fp2 receives an independently mixed hash of the same sequence.
 void satQueryFingerprint(const std::vector<Expr> &Work, unsigned MaxBranches,
                          uint64_t &Fp, uint64_t &Fp2);
@@ -109,20 +110,13 @@ void stableQueryFingerprint(const std::vector<Expr> &Work,
                             unsigned MaxBranches, uint64_t &Fp,
                             uint64_t &Fp2);
 
-/// Installs \p M as the process-wide query memo (nullptr uninstalls).
-/// Returns the previously installed memo. The memo must outlive all solver
-/// queries issued while it is installed.
-QueryMemo *setQueryMemo(QueryMemo *M);
-
-/// The currently installed process-wide query memo (may be nullptr).
-QueryMemo *queryMemo();
-
-/// The SMT-lite decision engine. Stateless between queries; statistics live
-/// in the process-wide metrics registry (see support/Metrics.h) and are
-/// mirrored into a thread-local instance for per-job attribution, so they
-/// survive across the many Solver instantiations in engine/, creusot/ and
-/// the harnesses. Callers wanting a per-phase delta snapshot the
-/// thread-local stats before and after (SolverStats::operator-).
+/// The SMT-lite decision engine. Keeps no state between queries beyond its
+/// configuration (\c MaxBranches, \c Memo); statistics live in the
+/// process-wide metrics registry (see support/Metrics.h) and are mirrored
+/// into a thread-local instance for per-job attribution, so they survive
+/// across the many Solver instantiations in engine/, creusot/ and the
+/// harnesses. Callers wanting a per-phase delta snapshot the thread-local
+/// stats before and after (SolverStats::operator-).
 class Solver {
 public:
   /// Checks the conjunction of \p Assertions for satisfiability.
@@ -148,6 +142,11 @@ public:
   /// Part of the memo fingerprint: queries under different budgets never
   /// share cache entries.
   unsigned MaxBranches = 50000;
+
+  /// The memo \c checkSat consults before the search (nullptr: none). Not
+  /// owned; it must outlive every query issued while it is set. Workers of
+  /// one run share the solver, so the memo must be thread-safe.
+  QueryMemo *Memo = nullptr;
 
 private:
   /// The innermost chain layer (Solver.cpp) runs the private DPLL search.

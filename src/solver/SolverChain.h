@@ -4,14 +4,15 @@
 /// The decorator interface \c Solver::checkSat routes every query through,
 /// in the style of KLEE's solver chain (TimingSolver / QueryLoggingSolver /
 /// CachingSolver stacked over the core). Layers are small stack objects
-/// assembled per query; the stateful parts (the memo table, the flight
-/// recorder's aggregates and journal buffer) are process-wide.
+/// assembled per query; the memo table is the one \c Solver::Memo points
+/// at, and the flight recorder's aggregates and journal buffer are
+/// process-wide.
 ///
 /// The chain, outermost first:
 ///
 ///   QueryJournalSolver   (solver/Flight.h, only when journaling is on)
 ///     TimingSolver       (solver/Flight.h, only when the recorder is on)
-///       memo layer       (the scheduler's QueryCache via QueryMemo)
+///       memo layer       (Solver::Memo, the scheduler's QueryCache)
 ///         core solver    (the DPLL(T) search, Solver.cpp)
 ///
 /// The journal and timing layers sit *above* the memo so cache-served and

@@ -217,27 +217,8 @@ bool gilr::exprEquals(const Expr &A, const Expr &B) {
     return true;
   if (!A || !B)
     return false;
-  // Interned nodes: equality is exactly CanonId equality (hash-consing
-  // guarantees one CanonId per exprEquals class). The structural walk below
-  // only runs when a foreign (un-interned) node is involved.
-  if (A->CanonId != 0 && B->CanonId != 0)
-    return A->CanonId == B->CanonId;
-  if (A->hash() != B->hash())
-    return false;
-  if (A->Kind != B->Kind)
-    return false;
-  if (A->Kind == ExprKind::Var)
-    return A->Name == B->Name; // Sort annotations do not split identity.
-  if (A->NodeSort != B->NodeSort || A->Kids.size() != B->Kids.size())
-    return false;
-  if (A->Name != B->Name || A->IntVal != B->IntVal ||
-      !(A->RatVal == B->RatVal) || A->BoolVal != B->BoolVal ||
-      A->LocId != B->LocId || A->Index != B->Index)
-    return false;
-  for (std::size_t I = 0, E = A->Kids.size(); I != E; ++I)
-    if (!exprEquals(A->Kids[I], B->Kids[I]))
-      return false;
-  return true;
+  // Hash-consing gives every exprEquals class exactly one CanonId.
+  return A->CanonId == B->CanonId;
 }
 
 bool gilr::exprLess(const Expr &A, const Expr &B) {
@@ -250,7 +231,7 @@ bool gilr::exprLess(const Expr &A, const Expr &B) {
   // Equal classes are never less-than; this is the only use of ids here —
   // *ordering* stays structural so it cannot depend on the (racy) interning
   // order under the parallel scheduler.
-  if (A->CanonId != 0 && A->CanonId == B->CanonId)
+  if (A->CanonId == B->CanonId)
     return false;
   if (A->Kind != B->Kind)
     return A->Kind < B->Kind;

@@ -143,8 +143,8 @@ using Expr = std::shared_ptr<const ExprNode>;
 /// A single node in the expression DAG. Construct through the factory
 /// functions in ExprBuilder.h, which enforce sort invariants, simplify, and
 /// hash-cons the result (see sym/Intern.h): structurally identical
-/// constructions return the *same* node, so equality on interned nodes is a
-/// pointer/id comparison.
+/// constructions return the *same* node, so equality is a pointer/id
+/// comparison.
 class ExprNode {
 public:
   ExprKind Kind;
@@ -159,21 +159,19 @@ public:
   uint64_t LocId = 0;     ///< LocLit.
   unsigned Index = 0;     ///< TupleGet.
 
-  /// Unique dense id assigned at interning time; 0 for nodes that were never
-  /// interned ("foreign" nodes, e.g. built with interning disabled).
-  /// Identical ids imply pointer identity.
+  /// Unique dense id assigned at interning time, never 0: every node is
+  /// interned. Identical ids imply pointer identity.
   uint64_t Id = 0;
 
   /// Id of the node's *structural equivalence class* under \c exprEquals
   /// semantics: variables are identified by name alone (sort annotations do
   /// not split identity), everything else by kind, sort, payload and kid
-  /// classes. Two interned nodes are exprEquals-equal iff their CanonIds
-  /// match. 0 for foreign nodes.
+  /// classes. Two nodes are exprEquals-equal iff their CanonIds match.
+  /// Never 0.
   uint64_t CanonId = 0;
 
-  /// Dense global symbol id of \c Name (0 when Name is empty or the node is
-  /// foreign). Lets the congruence signature pass key App/Var names without
-  /// hashing strings.
+  /// Dense global symbol id of \c Name, 0 only when Name is empty. Lets the
+  /// congruence signature pass key App/Var names without hashing strings.
   uint64_t NameSym = 0;
 
   /// True if the subtree mentions a prophecy variable; computed bottom-up at
@@ -206,8 +204,7 @@ private:
   std::size_t Hash = 0;
 };
 
-/// Structural equality. For interned nodes this is an O(1) CanonId compare;
-/// the structural walk only runs for foreign nodes.
+/// Structural equality: an O(1) CanonId compare.
 bool exprEquals(const Expr &A, const Expr &B);
 
 /// Deterministic structural ordering, used for canonicalising commutative

@@ -82,7 +82,6 @@ std::atomic<uint64_t> NextNameId{1};
 std::atomic<uint64_t> StatNodes{0};
 std::atomic<uint64_t> StatHits{0};
 std::atomic<uint64_t> StatMisses{0};
-std::atomic<bool> Enabled{true};
 
 /// The exprEquals-equivalence key of an interned-node candidate: variables
 /// by name alone; everything else by kind, sort, payload and kid CanonIds.
@@ -131,14 +130,6 @@ uint64_t gilr::internName(const std::string &Name) {
   return It->second;
 }
 
-bool gilr::setInterningEnabled(bool E) {
-  return Enabled.exchange(E, std::memory_order_acq_rel);
-}
-
-bool gilr::interningEnabled() {
-  return Enabled.load(std::memory_order_acquire);
-}
-
 InternStats gilr::internStats() {
   InternStats S;
   S.Nodes = StatNodes.load(std::memory_order_relaxed);
@@ -148,14 +139,7 @@ InternStats gilr::internStats() {
 }
 
 Expr gilr::detail::internNewNode(std::shared_ptr<ExprNode> N) {
-  if (!Enabled.load(std::memory_order_acquire))
-    return N;
-  // Canonicalise foreign kids first (usual case: all kids already interned,
-  // since they came out of the same factories). Replacing a kid with a
-  // structurally identical node does not change the structural hash.
-  for (Expr &Kid : N->Kids)
-    if (Kid->Id == 0)
-      Kid = internExpr(Kid);
+  // The kids came out of the same factories, so they are interned already.
   if (!N->Name.empty())
     N->NameSym = internName(N->Name);
 
@@ -174,22 +158,4 @@ Expr gilr::detail::internNewNode(std::shared_ptr<ExprNode> N) {
   StatMisses.fetch_add(1, std::memory_order_relaxed);
   StatNodes.fetch_add(1, std::memory_order_relaxed);
   return Bucket.back();
-}
-
-Expr gilr::internExpr(const Expr &E) {
-  if (!E || E->Id != 0 || !Enabled.load(std::memory_order_acquire))
-    return E;
-  std::vector<Expr> Kids;
-  Kids.reserve(E->Kids.size());
-  for (const Expr &Kid : E->Kids)
-    Kids.push_back(internExpr(Kid));
-  auto N = std::make_shared<ExprNode>(E->Kind, E->NodeSort, std::move(Kids));
-  N->Name = E->Name;
-  N->IntVal = E->IntVal;
-  N->RatVal = E->RatVal;
-  N->BoolVal = E->BoolVal;
-  N->LocId = E->LocId;
-  N->Index = E->Index;
-  N->finalizeHash();
-  return detail::internNewNode(std::move(N));
 }

@@ -4,10 +4,11 @@
 /// The intern layer beneath the ExprBuilder factories: every node built
 /// through the smart constructors is deduplicated against a process-wide,
 /// sharded intern table so that structurally identical constructions return
-/// the *same* reference-counted node. On top of that identity the layer
-/// assigns two dense ids per node (see sym/Expr.h):
+/// the *same* reference-counted node. The factories are the only way to
+/// build a node, so every node is interned. On top of that identity the
+/// layer assigns two dense ids (>= 1) per node (see sym/Expr.h):
 ///
-///  - \c Id: unique per interned node (pointer identity).
+///  - \c Id: unique per node (pointer identity).
 ///  - \c CanonId: unique per \c exprEquals equivalence class — variables are
 ///    identified by name alone, so the same variable written with different
 ///    sort annotations (specs use Any, the executor knows the precise sort)
@@ -47,21 +48,9 @@ struct InternStats {
 
 InternStats internStats();
 
-/// Returns the canonical interned node structurally identical to \p E
-/// (including variable sorts). Returns \p E itself when it is already
-/// interned; clones foreign nodes (and their foreign subterms) otherwise.
-Expr internExpr(const Expr &E);
-
 /// Dense (>= 1) global symbol id for \p Name; equal strings map to equal
 /// ids. Used for the NameSym field and the congruence signature pass.
 uint64_t internName(const std::string &Name);
-
-/// Enables/disables hash-consing for subsequently built nodes and returns
-/// the previous setting. Interning is on by default; disabling exists solely
-/// for before/after benchmarking (bench/bench_intern.cpp) and must only be
-/// toggled while no other thread is building expressions.
-bool setInterningEnabled(bool Enabled);
-bool interningEnabled();
 
 namespace detail {
 /// Interns a freshly built node whose payload fields are final and whose

@@ -326,16 +326,15 @@ TEST(FlightRecorder, JournalMarksCacheHitsAndReplays) {
   flight::configure(O);
 
   MapMemo Memo;
-  QueryMemo *Prev = setQueryMemo(&Memo);
   Expr X = mkVar("x", Sort::Int);
   std::vector<Expr> Q = {mkLt(X, mkInt(2)), mkLt(mkInt(3), X)};
   Solver S;
+  S.Memo = &Memo;
   {
     flight::ObligationScope Scope("test::memo", 'S');
     EXPECT_EQ(S.checkSat(Q), SatResult::Unsat); // miss: full search
     EXPECT_EQ(S.checkSat(Q), SatResult::Unsat); // hit: memo-served
   }
-  setQueryMemo(Prev);
 
   journal::ParsedJournal P = journal::parseJournal(flight::journalText());
   EXPECT_TRUE(P.HeaderOk);

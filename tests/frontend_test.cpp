@@ -10,10 +10,13 @@
 //  * the gilr CLI honours the exit-code contract (0 verified, 1 proof
 //    failures, 2 lint errors, 3 parse/type errors);
 //  * diagnostics carry real source locations (file:line:col + caret), both
-//    for .gilr syntax errors and for position-tracked Gilsonite spec errors.
+//    for .gilr syntax errors and for position-tracked Gilsonite spec errors;
+//  * every expression a parsed module or a read-back journal holds is
+//    interned, the invariant the id-keyed paths of sym/ and solver/ use.
 //
 //===----------------------------------------------------------------------===//
 
+#include "creusot/Pearlite.h"
 #include "frontend/Cli.h"
 #include "frontend/Frontend.h"
 #include "frontend/Printer.h"
@@ -23,13 +26,18 @@
 #include "rustlib/LinkedList.h"
 #include "rustlib/Stack.h"
 #include "rustlib/Vec.h"
+#include "solver/Flight.h"
+#include "solver/Journal.h"
 #include "support/Files.h"
+#include "sym/ExprBuilder.h"
+#include "sym/Printer.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <unordered_set>
 
 using namespace gilr;
 
@@ -396,6 +404,126 @@ TEST(FrontendCli, JsonVerifyEmbedsReport) {
   EXPECT_EQ(0, cli({"verify", "--json", corpusPath("vec")}, &OutText));
   EXPECT_NE(OutText.find("\"report\": {"), std::string::npos);
   EXPECT_NE(OutText.find("\"ok\": true"), std::string::npos);
+}
+
+// --- Interning invariant --------------------------------------------------
+
+/// Walks expressions and their subterms, each node once, and checks what
+/// the id-keyed paths of sym/ and solver/ rely on: Id and CanonId are never
+/// 0, and NameSym is 0 exactly when Name is empty.
+class InternedWalk {
+public:
+  explicit InternedWalk(std::string Where) : Where(std::move(Where)) {}
+
+  void expr(const Expr &E) {
+    if (!E || !Seen.insert(E.get()).second)
+      return;
+    EXPECT_GE(E->Id, 1u) << Where << ": " << exprToString(E);
+    EXPECT_GE(E->CanonId, 1u) << Where << ": " << exprToString(E);
+    EXPECT_EQ(E->NameSym != 0, !E->Name.empty())
+        << Where << ": " << exprToString(E);
+    for (const Expr &Kid : E->Kids)
+      expr(Kid);
+  }
+
+  void assertion(const gilsonite::AssertionP &A) {
+    if (!A)
+      return;
+    for (const Expr *E : {&A->Formula, &A->Ptr, &A->Val, &A->Count, &A->Seq,
+                          &A->Kappa, &A->Frac, &A->PcyVar})
+      expr(*E);
+    for (const Expr &E : A->Args)
+      expr(E);
+    for (const gilsonite::AssertionP &P : A->Parts)
+      assertion(P);
+    assertion(A->Body);
+  }
+
+  std::size_t nodes() const { return Seen.size(); }
+
+private:
+  std::string Where;
+  std::unordered_set<const ExprNode *> Seen;
+};
+
+TEST(Frontend, ParsedExpressionsAreInterned) {
+  for (const char *Name : CorpusFiles) {
+    frontend::ParseResult R = frontend::parseFile(corpusPath(Name));
+    ASSERT_TRUE(R.ok()) << Name;
+    const frontend::Module &M = *R.Mod;
+    InternedWalk W(Name);
+    for (const auto &[Fn, S] : M.Specs.all()) {
+      W.assertion(S.Pre);
+      W.assertion(S.Post);
+    }
+    for (const auto &[Pred, D] : M.Preds.all())
+      for (const gilsonite::AssertionP &C : D.Clauses)
+        W.assertion(C);
+    for (const engine::ExtractLemma &L : M.ExtractDecls) {
+      for (const Expr &E : L.FromArgs)
+        W.expr(E);
+      for (const Expr &E : L.ToArgs)
+        W.expr(E);
+      W.expr(L.Persistent);
+      W.expr(L.Requires);
+    }
+    // Contract formulas are Pearlite terms until they are lowered; lower
+    // each with its parameters bound the way the safe side binds them (a
+    // mutable reference to a (current, final) pair).
+    for (const auto &[Fn, C] : M.Contracts.all()) {
+      creusot::LowerEnv Env;
+      for (const creusot::PearliteParam &P : C.Params) {
+        Expr Cur = mkVar("cur$" + P.Name, Sort::Any);
+        Env.Values[P.Name] =
+            P.IsMutRef ? mkTuple({Cur, mkVar("fin$" + P.Name, Sort::Any)})
+                       : Cur;
+        Env.IsMutRef[P.Name] = P.IsMutRef;
+      }
+      Env.ResultVal = mkVar("result", Sort::Any);
+      for (const creusot::PTermP &T : {C.Pre, C.Post}) {
+        if (!T)
+          continue;
+        Outcome<Expr> E = creusot::lowerPearlite(T, Env);
+        ASSERT_TRUE(E.ok()) << Name << ": " << Fn << ": " << E.error();
+        W.expr(E.value());
+      }
+    }
+    EXPECT_GT(W.nodes(), 0u) << Name;
+  }
+}
+
+/// Turns the flight recorder off when the scope ends.
+struct FlightOff {
+  ~FlightOff() { flight::reset(); }
+};
+
+TEST(Frontend, JournalExpressionsAreInterned) {
+  std::string Text;
+  {
+    FlightOff Off;
+    flight::Options O;
+    O.Journal = true;
+    flight::configure(O);
+    for (const char *Name : CorpusFiles) {
+      frontend::ParseResult R = frontend::parseFile(corpusPath(Name));
+      ASSERT_TRUE(R.ok()) << Name;
+      runParsed(*R.Mod);
+    }
+    Text = flight::journalText();
+  }
+
+  journal::ParsedJournal J = journal::parseJournal(Text);
+  ASSERT_TRUE(J.HeaderOk);
+  EXPECT_TRUE(J.Errors.empty());
+  InternedWalk W("journal");
+  std::size_t Queries = 0;
+  for (const journal::Record &Rec : J.Records) {
+    Queries += Rec.RecKind == journal::Record::Kind::Query;
+    for (const Expr &E : Rec.Assertions)
+      W.expr(E);
+  }
+  EXPECT_GT(Queries, 0u);
+  EXPECT_GT(W.nodes(), 0u);
 }
 
 } // namespace

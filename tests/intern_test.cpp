@@ -82,21 +82,6 @@ TEST(InternTest, PointerIdentityAcrossThreads) {
     EXPECT_EQ(Results[0].get(), Results[T].get());
 }
 
-TEST(InternTest, InternExprAdoptsForeignNodes) {
-  bool Prev = setInterningEnabled(false);
-  Expr Foreign = mkAdd(mkVar("foreign_x", Sort::Int), mkInt(7));
-  EXPECT_EQ(Foreign->Id, 0u);
-  setInterningEnabled(true);
-  Expr Canon = internExpr(Foreign);
-  EXPECT_NE(Canon->Id, 0u);
-  EXPECT_TRUE(exprEquals(Foreign, Canon));
-  // Interning the same shape again returns the same node.
-  EXPECT_EQ(internExpr(Foreign).get(), Canon.get());
-  EXPECT_EQ(mkAdd(mkVar("foreign_x", Sort::Int), mkInt(7)).get(),
-            Canon.get());
-  setInterningEnabled(Prev);
-}
-
 TEST(InternTest, InternStatsCountHitsAndNodes) {
   InternStats Before = internStats();
   Expr A = mkAdd(mkVar("stats_v", Sort::Int), mkInt(42));

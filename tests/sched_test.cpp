@@ -141,8 +141,8 @@ TEST(QueryCacheTest, CachedVerdictNeverFlipsSolverAnswer) {
   ASSERT_FALSE(Bare.entails(SatCtx, mkEq(X, Z)));
 
   QueryCache C(1024);
-  ScopedQueryCache Install(&C);
   Solver S;
+  S.Memo = &C;
   for (int Round = 0; Round != 3; ++Round) {
     EXPECT_EQ(S.checkSat(UnsatCtx), SatResult::Unsat) << "round " << Round;
     EXPECT_EQ(S.checkSat(SatCtx), SatResult::Sat) << "round " << Round;
@@ -161,8 +161,8 @@ TEST(QueryCacheTest, BranchBudgetIsPartOfTheKey) {
   std::vector<Expr> Ctx = {mkEq(X, mkInt(1))};
 
   QueryCache C(1024);
-  ScopedQueryCache Install(&C);
   Solver S;
+  S.Memo = &C;
   ASSERT_EQ(S.checkSat(Ctx), SatResult::Sat);
   uint64_t InsertionsAfterFirst = C.stats().Insertions;
   S.MaxBranches = 7; // Different budget: a fresh fingerprint.
@@ -297,8 +297,8 @@ TEST(BudgetTest, BudgetTrippedUnknownIsNotCached) {
   Branchy.push_back(mkOr(Cases));
 
   QueryCache C(1024);
-  ScopedQueryCache Install(&C);
   Solver S;
+  S.Memo = &C;
   budget::begin(0, 1);
   ASSERT_EQ(S.checkSat(Branchy), SatResult::Unknown);
   budget::clear();

@@ -34,8 +34,9 @@ const char *Usage =
     "                       /tmp/gilrd.sock)\n"
     "  --cache-dir DIR      shared content-addressed proof cache directory\n"
     "                       (empty = per-process memory only)\n"
-    "  --cache-budget N     cache size budget in bytes, enforced at\n"
-    "                       shutdown (0 = unbounded)\n"
+    "  --cache-budget N     cache size budget in bytes, enforced after\n"
+    "                       every verify run and at shutdown\n"
+    "                       (0 = unbounded)\n"
     "  --jobs N             default scheduler threads per request\n"
     "  --timeout-ms N       default per-job budget for requests\n"
     "  --max-queued N       global admission queue depth (default 64)\n"
