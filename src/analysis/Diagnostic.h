@@ -9,7 +9,7 @@
 /// a vacuous precondition).
 ///
 /// Diagnostics are collected by a thread-safe \c DiagnosticEngine — lint
-/// jobs run on the proof scheduler's worker pool — and always emitted in a
+/// jobs run on the proof scheduler's threads — and always emitted in a
 /// deterministic order (sorted, not arrival order), so the rendered output
 /// is byte-identical at any worker count (the determinism contract of
 /// docs/SCHEDULER.md extends to the pre-pass).

@@ -148,9 +148,8 @@ analysis::AnalysisInput lintInput(Module &M) {
 FileResult runCheck(const CliOptions &Opt, const std::string &Path,
                     std::ostream &Out, std::ostream &Err) {
   FileResult R;
-  ParseResult P = parseFile(Path);
   std::string Text;
-  files::readFile(Path, Text, ".gilr module");
+  ParseResult P = parseFile(Path, &Text);
   support::SourceMgr SM(Path, Text);
   if (!P.ok()) {
     R.Exit = ExitParseError;
@@ -171,9 +170,8 @@ FileResult runCheck(const CliOptions &Opt, const std::string &Path,
 FileResult runLint(const CliOptions &Opt, const std::string &Path,
                    std::ostream &Out, std::ostream &Err) {
   FileResult R;
-  ParseResult P = parseFile(Path);
   std::string Text;
-  files::readFile(Path, Text, ".gilr module");
+  ParseResult P = parseFile(Path, &Text);
   support::SourceMgr SM(Path, Text);
   if (!P.ok()) {
     R.Exit = ExitParseError;
@@ -205,9 +203,8 @@ FileResult runLint(const CliOptions &Opt, const std::string &Path,
 FileResult runVerify(const CliOptions &Opt, const std::string &Path,
                      std::ostream &Out, std::ostream &Err) {
   FileResult R;
-  ParseResult P = parseFile(Path);
   std::string Text;
-  files::readFile(Path, Text, ".gilr module");
+  ParseResult P = parseFile(Path, &Text);
   support::SourceMgr SM(Path, Text);
   if (!P.ok()) {
     R.Exit = ExitParseError;
@@ -299,9 +296,8 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
 FileResult runFmt(const CliOptions &Opt, const std::string &Path,
                   std::ostream &Out, std::ostream &Err) {
   FileResult R;
-  ParseResult P = parseFile(Path);
   std::string Text;
-  files::readFile(Path, Text, ".gilr module");
+  ParseResult P = parseFile(Path, &Text);
   support::SourceMgr SM(Path, Text);
   if (!P.ok()) {
     R.Exit = ExitParseError;

@@ -18,9 +18,12 @@ std::string gilr::frontend::moduleNameFromPath(const std::string &Path) {
   return Base;
 }
 
-ParseResult gilr::frontend::parseFile(const std::string &Path) {
-  std::string Text;
+ParseResult gilr::frontend::parseFile(const std::string &Path,
+                                     std::string *TextOut) {
+  std::string Local;
+  std::string &Text = TextOut ? *TextOut : Local;
   if (!files::readFile(Path, Text, ".gilr module")) {
+    Text.clear();
     ParseResult R;
     analysis::Diagnostic D;
     D.Code = analysis::code::FrontendError;

@@ -41,8 +41,10 @@ struct ParseResult {
 ParseResult parseString(const std::string &FileName, const std::string &Text);
 
 /// Reads and parses the file at \p Path. I/O failures become a GILR-E010
-/// diagnostic.
-ParseResult parseFile(const std::string &Path);
+/// diagnostic. \p Text, if given, receives the bytes read (empty when the
+/// file could not be read), so a caller can render diagnostics without
+/// reading the file again.
+ParseResult parseFile(const std::string &Path, std::string *Text = nullptr);
 
 /// The module name \p Path implies: basename without the .gilr extension.
 std::string moduleNameFromPath(const std::string &Path);

@@ -118,8 +118,8 @@ std::string HybridReport::summaryText() const {
   }
 
   // Proof flight recorder: per-query aggregates and the slowest queries
-  // with provenance. Only present when the timing decorator ran
-  // (GILR_TIMING / GILR_JOURNAL, see solver/Flight.h).
+  // with provenance. Only present when queries were timed (GILR_TRACE /
+  // GILR_JOURNAL, see solver/Flight.h).
   metrics::SolverQueriesReport FQ =
       metrics::Registry::get().solverQueriesReport();
   if (FQ.Valid && FQ.Queries) {

@@ -80,8 +80,8 @@ public:
                    const std::vector<creusot::SafeFn> &Clients);
 
   /// Same, under \p Config: every obligation of both sides is an
-  /// independent job on a work-stealing pool with a shared entailment
-  /// cache and per-job budgets. Serial when Config.Threads == 1.
+  /// independent job, run on Config.Threads threads (inline on the calling
+  /// thread when 1) with a shared entailment cache and per-job budgets.
   HybridReport run(const std::vector<std::string> &UnsafeFuncs,
                    const std::vector<creusot::SafeFn> &Clients,
                    const sched::SchedulerConfig &Config);

@@ -137,9 +137,9 @@ Session::DepsVerdict Session::checkDeps(StoredObligation &Ob,
     return DepsVerdict::Clean;
   if (Queries.empty())
     return DepsVerdict::Salvaged;
-  // Discharge the implications through the solver chain, attributed to
-  // this obligation in the flight journal. Queries go through the memo
-  // layer like any other, so a repeated edit re-salvages from cache.
+  // Discharge the implications through the run's solver, attributed to
+  // this obligation in the flight journal. Queries consult the memo like
+  // any other, so a repeated edit re-salvages from cache.
   flight::ObligationScope Scope(Ob.Name, FlightSide);
   for (const SalvageObligation &Q : Queries) {
     ++Stats.SalvageQueries;

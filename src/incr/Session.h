@@ -24,7 +24,7 @@
 /// against the current entity (incr/SpecDiff.h). An edit confined to
 /// clauses the proof could not have relied on (reorders, doc strings)
 /// revalidates with zero solver work ("salvaged"); an edit to pure clauses
-/// is justified by implication queries through the solver chain — prove
+/// is justified by implication queries through the run's solver — prove
 /// new-spec => old-spec in the direction the use site requires — and keeps
 /// the cached verdict when they hold ("implied"). Anything else falls back
 /// to full re-verification. Lint verdicts never salvage: their rendered

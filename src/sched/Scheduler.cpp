@@ -12,13 +12,17 @@
 
 #include "analysis/Summary.h"
 #include "incr/Session.h"
-#include "sched/WorkerPool.h"
 #include "solver/Flight.h"
 #include "support/Budget.h"
 #include "support/Trace.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <utility>
 
 using namespace gilr;
@@ -95,29 +99,48 @@ void recordInterprocReport(const analysis::SummaryTable &T, double Seconds) {
 
 } // namespace
 
-void Scheduler::runJobs(
-    const JobGraph &G,
-    const std::function<void(const ProofJob &)> &RunOne) {
+void Scheduler::runJobs(std::size_t N,
+                        const std::function<void(std::size_t)> &RunOne) {
   if (trace::enabled())
-    metrics::Registry::get().add("sched.jobs", G.Jobs.size());
+    metrics::Registry::get().add("sched.jobs", N);
 
-  if (Config.Threads <= 1 || G.Jobs.size() <= 1) {
-    for (const ProofJob &J : G.Jobs)
-      RunOne(J);
-    recordCacheReport();
+  if (Config.Threads <= 1 || N <= 1) {
+    for (std::size_t I = 0; I != N; ++I)
+      RunOne(I);
     return;
   }
 
-  unsigned Threads = Config.Threads;
-  if (static_cast<std::size_t>(Threads) > G.Jobs.size())
-    Threads = static_cast<unsigned>(G.Jobs.size());
-  WorkerPool Pool(Threads);
-  for (const ProofJob &J : G.Jobs)
-    Pool.submit([&RunOne, &J] { RunOne(J); });
-  Pool.wait();
-  if (trace::enabled())
-    metrics::Registry::get().add("sched.steals", Pool.steals());
-  recordCacheReport();
+  // Starting and joining the threads orders their accesses to the run's
+  // state with the caller's; each job writes only its own slot. A job that
+  // throws stops the handing out of jobs, and the first exception is
+  // rethrown once every thread has joined.
+  std::atomic<std::size_t> Next{0};
+  std::mutex FailureMu;
+  std::exception_ptr Failure;
+  auto Drain = [&] {
+    try {
+      for (std::size_t I = Next++; I < N; I = Next++)
+        RunOne(I);
+    } catch (...) {
+      Next = N;
+      std::lock_guard<std::mutex> Lock(FailureMu);
+      if (!Failure)
+        Failure = std::current_exception();
+    }
+  };
+  const std::size_t Threads = std::min<std::size_t>(Config.Threads, N);
+  std::vector<std::thread> Workers;
+  Workers.reserve(Threads);
+  try {
+    while (Workers.size() != Threads)
+      Workers.emplace_back(Drain);
+  } catch (...) {
+    Drain(); // A thread failed to start: the caller takes the remaining jobs.
+  }
+  for (std::thread &W : Workers)
+    W.join();
+  if (Failure)
+    std::rethrow_exception(Failure);
 }
 
 void Scheduler::recordCacheReport() const {
@@ -145,26 +168,26 @@ analysis::AnalysisResult Scheduler::lintPhase(
   analysis::AnalysisInput In = engine::lintInput(Env);
   In.Summaries = Summaries;
   auto Start = std::chrono::steady_clock::now();
-  // Lint jobs ride the same pool as proof jobs. No job budget: lint
-  // verdicts must stay deterministic at any worker count (the budget's
-  // wall-clock component is the one nondeterminism source runJobs has).
-  JobGraph G = JobGraph::build(Names, {});
-  runJobs(G, [&](const ProofJob &J) {
-    GILR_TRACE_SCOPE_D("sched", "lint-job", J.Name);
+  // Lint jobs run like proof jobs. No job budget: lint verdicts must stay
+  // deterministic at any worker count (the budget's wall-clock component
+  // is the one nondeterminism source runJobs has).
+  runJobs(Names.size(), [&](std::size_t I) {
+    const std::string &Name = Names[I];
+    GILR_TRACE_SCOPE_D("sched", "lint-job", Name);
     analysis::EntityVerdict V;
-    if (Incr && Incr->lookupLint(J.Name, V)) {
-      flight::noteCachedObligation(J.Name, 'L', !V.Blocked);
-      Verdicts[J.Slot] = {J.Name, std::move(V)};
+    if (Incr && Incr->lookupLint(Name, V)) {
+      flight::noteCachedObligation(Name, 'L', !V.Blocked);
+      Verdicts[I] = {Name, std::move(V)};
       return;
     }
     std::optional<incr::DepRecorder> Rec;
     if (Incr)
       Rec.emplace();
-    V = analysis::lintEntity(In, J.Name);
+    V = analysis::lintEntity(In, Name);
     std::set<incr::DepKey> Deps = finishRecording(Rec);
     if (Incr)
-      Incr->recordLint(J.Name, Deps, V);
-    Verdicts[J.Slot] = {J.Name, std::move(V)};
+      Incr->recordLint(Name, Deps, V);
+    Verdicts[I] = {Name, std::move(V)};
   });
   // Program-level lints are whole-table cross-references; they are cheap
   // and depend on everything, so they run serially and are never cached.
@@ -186,8 +209,7 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
   Report.UnsafeSide.resize(UnsafeFuncs.size());
   Report.SafeSide.resize(Clients.size());
   // Every query of the run goes through Env.Solv, so the run's cache is its
-  // memo until the run ends; the pool's synchronisation publishes it to
-  // the workers.
+  // memo until the run ends; starting the job threads publishes it to them.
   QueryMemo *CallerMemo = std::exchange(Env.Solv.Memo, Cache.get());
 
   std::vector<std::pair<std::string, analysis::EntityVerdict>> Verdicts;
@@ -202,24 +224,27 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
     Report.Analysis = lintPhase(Env, UnsafeFuncs, Incr, &*Summaries, Verdicts);
   }
 
-  JobGraph G = JobGraph::build(UnsafeFuncs, Clients);
-  runJobs(G, [&](const ProofJob &J) {
+  // Job I is unsafe function I, then safe client I - |UnsafeFuncs|.
+  const std::size_t NUnsafe = UnsafeFuncs.size();
+  runJobs(NUnsafe + Clients.size(), [&](std::size_t I) {
+    const std::string &Name =
+        I < NUnsafe ? UnsafeFuncs[I] : Clients[I - NUnsafe].Name;
     // The per-job root span: everything the worker does for this obligation
     // nests under it, so GILR_TRACE output stays attributable per job.
-    GILR_TRACE_SCOPE_D("sched", "job", J.Name);
-    if (J.K == ProofJob::UnsafeFn) {
+    GILR_TRACE_SCOPE_D("sched", "job", Name);
+    if (I < NUnsafe) {
       const analysis::EntityVerdict *V =
-          Verdicts.empty() ? nullptr : &Verdicts[J.Slot].second;
+          Verdicts.empty() ? nullptr : &Verdicts[I].second;
       if (V && V->Blocked) {
-        Report.UnsafeSide[J.Slot] = engine::lintBlockedReport(J.Name, *V);
+        Report.UnsafeSide[I] = engine::lintBlockedReport(Name, *V);
         return;
       }
       engine::VerifyReport R;
-      if (Incr && Incr->lookupUnsafe(J.Name, R)) {
-        flight::noteCachedObligation(J.Name, 'U', R.Ok);
+      if (Incr && Incr->lookupUnsafe(Name, R)) {
+        flight::noteCachedObligation(Name, 'U', R.Ok);
         if (V)
           R.Diags = V->Diags;
-        Report.UnsafeSide[J.Slot] = std::move(R);
+        Report.UnsafeSide[I] = std::move(R);
         return;
       }
       std::optional<incr::DepRecorder> Rec;
@@ -227,21 +252,22 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
         Rec.emplace();
       bool Exhausted = withJobBudget(Config, [&] {
         engine::Verifier V2(Env);
-        R = V2.verifyFunction(J.Name);
+        R = V2.verifyFunction(Name);
       });
       if (Exhausted)
-        markBudgetExhausted(R.Errors, R.Ok, R.TimedOut, J.Name);
+        markBudgetExhausted(R.Errors, R.Ok, R.TimedOut, Name);
       std::set<incr::DepKey> Deps = finishRecording(Rec);
       if (Incr)
-        Incr->recordUnsafe(J.Name, Deps, R);
+        Incr->recordUnsafe(Name, Deps, R);
       if (V)
         R.Diags = V->Diags;
-      Report.UnsafeSide[J.Slot] = std::move(R);
+      Report.UnsafeSide[I] = std::move(R);
     } else {
+      const creusot::SafeFn &Client = Clients[I - NUnsafe];
       creusot::SafeReport R;
-      if (Incr && Incr->lookupSafe(*J.Client, R)) {
-        flight::noteCachedObligation(J.Name, 'S', R.Ok);
-        Report.SafeSide[J.Slot] = std::move(R);
+      if (Incr && Incr->lookupSafe(Client, R)) {
+        flight::noteCachedObligation(Name, 'S', R.Ok);
+        Report.SafeSide[I - NUnsafe] = std::move(R);
         return;
       }
       std::optional<incr::DepRecorder> Rec;
@@ -249,16 +275,17 @@ Scheduler::runHybrid(engine::VerifEnv &Env,
         Rec.emplace();
       bool Exhausted = withJobBudget(Config, [&] {
         creusot::SafeVerifier SV(Contracts, Env.Solv);
-        R = SV.verify(*J.Client);
+        R = SV.verify(Client);
       });
       if (Exhausted)
-        markBudgetExhausted(R.Errors, R.Ok, R.TimedOut, J.Name);
+        markBudgetExhausted(R.Errors, R.Ok, R.TimedOut, Name);
       std::set<incr::DepKey> Deps = finishRecording(Rec);
       if (Incr)
-        Incr->recordSafe(*J.Client, Deps, R);
-      Report.SafeSide[J.Slot] = std::move(R);
+        Incr->recordSafe(Client, Deps, R);
+      Report.SafeSide[I - NUnsafe] = std::move(R);
     }
   });
+  recordCacheReport();
   if (Summaries)
     recordInterprocReport(*Summaries, SummarySeconds);
   Env.Solv.Memo = CallerMemo;

@@ -2,10 +2,13 @@
 ///
 /// \file
 /// The proof scheduler: runs the independent obligations of a verification
-/// run (ProofJob.h) on a work-stealing pool (WorkerPool.h) with a shared,
-/// sharded entailment memo (QueryCache.h) and a per-job budget
-/// (support/Budget.h) that degrades stuck obligations to a reported
-/// \c Unknown instead of stalling the pool.
+/// run — one per unsafe function, one per safe client (§2.1: each is
+/// proved against its own specification) — with a shared, sharded
+/// entailment memo (QueryCache.h) and a per-job budget (support/Budget.h)
+/// that degrades stuck obligations to a reported \c Unknown instead of
+/// stalling the run. With \c Threads > 1 the jobs run on a fork-join loop:
+/// that many threads take the next job index from a shared counter until
+/// none is left, and the caller joins them.
 ///
 /// It is the only path to a verdict: every \c HybridDriver::run and
 /// \c engine::Verifier::verifyAll overload is defined in Scheduler.cpp and
@@ -13,9 +16,9 @@
 /// default one). \c Threads == 1 is the serial path (jobs run inline, in
 /// input order, on the calling thread) and still exercises the cache and
 /// budget paths; \c CacheCapacity == 0 turns the entailment memo off.
-/// Reports are always emitted in deterministic input order; with budgets
-/// disabled, the parallel report (timing aside) is byte-identical to the
-/// serial one.
+/// Every job writes its report into its own input-order slot, so reports
+/// are always in input order; with budgets disabled, the parallel report
+/// (timing aside) is byte-identical to the serial one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,9 +26,9 @@
 #define GILR_SCHED_SCHEDULER_H
 
 #include "hybrid/Driver.h"
-#include "sched/ProofJob.h"
 #include "sched/QueryCache.h"
 
+#include <functional>
 #include <memory>
 
 namespace gilr {
@@ -42,7 +45,7 @@ struct SchedulerConfig {
   /// Total entries of the sharded entailment cache; 0 disables caching.
   std::size_t CacheCapacity = 1u << 16;
   /// Per-job wall-clock budget in milliseconds; 0 = unlimited. Budgeted
-  /// jobs that run out degrade to JobStatus::Unknown. Note that budgets
+  /// jobs that run out are reported Unknown (TimedOut). Note that budgets
   /// trade determinism for liveness: a near-deadline job may flip between
   /// Unknown and Proved across runs.
   uint64_t JobTimeoutMs = 0;
@@ -73,12 +76,13 @@ public:
   /// cached report (marked Cached), and freshly proved jobs are recorded
   /// with the dependencies their proof consulted.
   ///
-  /// When Env.Lint.Enabled, a lint phase runs first (its jobs on the same
-  /// pool): entities the pre-pass rejects are reported failed without a
-  /// proof job, and every report carries its entity's diagnostics. The
-  /// aggregated analysis verdict lands in HybridReport::Analysis. The
-  /// engine::Verifier::verifyAll overloads run the unsafe side alone as a
-  /// hybrid run with no contracts and no clients.
+  /// When Env.Lint.Enabled, a lint phase runs first (one job per entity,
+  /// run the same way): entities the pre-pass rejects are reported failed
+  /// without a proof job, and every report carries its entity's
+  /// diagnostics. The aggregated analysis verdict lands in
+  /// HybridReport::Analysis. The engine::Verifier::verifyAll overloads run
+  /// the unsafe side alone as a hybrid run with no contracts and no
+  /// clients.
   hybrid::HybridReport runHybrid(engine::VerifEnv &Env,
                                  const creusot::PearliteSpecTable &Contracts,
                                  const std::vector<std::string> &UnsafeFuncs,
@@ -105,17 +109,19 @@ public:
   std::vector<SavedQueryVerdict> exportCacheEntries() const;
 
 private:
-  /// Runs every job of \p G, writing results through \p RunOne (which
-  /// receives the job and must store into its slot). Parallel iff
-  /// Threads > 1.
-  void runJobs(const JobGraph &G,
-               const std::function<void(const ProofJob &)> &RunOne);
+  /// Calls \p RunOne(I) once for every I in [0, N), which must store its
+  /// result into slot I. With at most one thread or one job the calls run
+  /// inline in index order; otherwise min(Threads, N) threads each take
+  /// the next index from a shared counter, and the caller joins them. If
+  /// a job throws, no further job starts and the exception reaches the
+  /// caller.
+  void runJobs(std::size_t N, const std::function<void(std::size_t)> &RunOne);
 
   /// Publishes the end-of-run cache snapshot to the metrics registry so the
   /// telemetry JSON can report hit rates (no-op when caching is disabled).
   void recordCacheReport() const;
 
-  /// The pre-verification lint phase: one lint job per entity on the pool
+  /// The pre-verification lint phase: one lint job per entity
   /// (cached verdicts replayed through \p Incr), then the program-level
   /// lints, finalized into the returned result. \p Verdicts receives the
   /// per-entity verdicts in input order (the proof phase consults them to

@@ -80,19 +80,6 @@ ThreadScope &threadScope() {
   return S;
 }
 
-/// The provenance TimingSolver stamped on the query it just timed, read by
-/// the QueryJournalSolver directly above it on the same thread.
-struct LastProvenance {
-  std::string Obligation;
-  char Side = '?';
-  uint32_t QueryIdx = 0;
-};
-
-LastProvenance &lastProv() {
-  thread_local LastProvenance P;
-  return P;
-}
-
 /// Buffers \p R (whose Obligation and Assertions are left empty) as a record
 /// of \p Obligation over \p Assertions.
 void appendRecord(journal::Record R, const std::string &Obligation,
@@ -165,14 +152,12 @@ void applyOptions(const Options &O) {
 
 Options optionsFromEnv() {
   Options O;
+  O.Timing = trace::modeFromEnv() != trace::Mode::Off;
   const char *Journal = std::getenv("GILR_JOURNAL");
   if (Journal && *Journal) {
     O.Journal = O.Timing = true;
     O.JournalFile = Journal;
   }
-  const char *Timing = std::getenv("GILR_TIMING");
-  if (Timing && *Timing && std::string(Timing) != "0")
-    O.Timing = true;
   return O;
 }
 
@@ -212,52 +197,53 @@ ObligationScope::~ObligationScope() {
 }
 
 //===----------------------------------------------------------------------===//
-// Decorator layers
+// Query timing and journaling
 //===----------------------------------------------------------------------===//
 
-ChainOutcome TimingSolver::solve(const ChainQuery &Q) {
-  ThreadScope &S = threadScope();
-  LastProvenance &P = lastProv();
-  P.Obligation = S.Name;
-  P.Side = S.Side;
-  P.QueryIdx = S.NextIdx++;
-
-  uint64_t T0 = trace::nowNs();
-  ChainOutcome O = Next.solve(Q);
-  O.DurationNs = trace::nowNs() - T0;
-
-  metrics::SolverQuerySample Sample;
-  Sample.Obligation = P.Obligation;
-  Sample.Side = P.Side;
-  Sample.QueryIdx = P.QueryIdx;
-  Sample.PcSize = (uint32_t)Q.Work.size();
-  uint64_t Fp2Unused;
-  Q.stableFingerprint(Sample.Fp, Fp2Unused);
-  Sample.Verdict = (uint8_t)O.R;
-  Sample.CacheHit = O.CacheHit;
-  Sample.DurationNs = O.DurationNs;
-  metrics::Registry::get().recordSolverQuery(Sample);
-  return O;
+QueryStamp flight::beginQuery() {
+  ThreadScope &T = threadScope();
+  QueryStamp S;
+  S.Obligation = T.Name;
+  S.Side = T.Side;
+  S.QueryIdx = T.NextIdx++;
+  S.StartNs = trace::nowNs();
+  return S;
 }
 
-ChainOutcome QueryJournalSolver::solve(const ChainQuery &Q) {
-  ChainOutcome O = Next.solve(Q);
-  const LastProvenance &P = lastProv();
+void flight::endQuery(QueryStamp S, const std::vector<Expr> &Work,
+                      unsigned MaxBranches, const QueryVerdict &V,
+                      bool CacheHit) {
+  uint64_t DurationNs = trace::nowNs() - S.StartNs;
+  uint64_t Fp = 0, Fp2 = 0;
+  stableQueryFingerprint(Work, MaxBranches, Fp, Fp2);
+
+  metrics::SolverQuerySample Sample;
+  Sample.Obligation = std::move(S.Obligation);
+  Sample.Side = S.Side;
+  Sample.QueryIdx = S.QueryIdx;
+  Sample.PcSize = (uint32_t)Work.size();
+  Sample.Fp = Fp;
+  Sample.Verdict = (uint8_t)V.R;
+  Sample.CacheHit = CacheHit;
+  Sample.DurationNs = DurationNs;
+  metrics::Registry::get().recordSolverQuery(Sample);
+  if (!journalEnabled())
+    return;
 
   journal::Record R;
   R.RecKind = journal::Record::Kind::Query;
-  R.Side = P.Side;
-  R.QueryIdx = P.QueryIdx;
-  R.PcSize = (uint32_t)Q.Work.size();
-  R.CacheHit = O.CacheHit;
-  R.Verdict = (uint8_t)O.R;
-  R.DurationNs = O.DurationNs;
-  R.Branches = O.Branches;
-  R.TheoryChecks = O.TheoryChecks;
-  R.MaxBranches = Q.MaxBranches;
-  Q.stableFingerprint(R.Fp, R.Fp2);
-  appendRecord(std::move(R), P.Obligation, Q.Work);
-  return O;
+  R.Side = S.Side;
+  R.QueryIdx = S.QueryIdx;
+  R.PcSize = (uint32_t)Work.size();
+  R.CacheHit = CacheHit;
+  R.Verdict = (uint8_t)V.R;
+  R.DurationNs = DurationNs;
+  R.Branches = V.Branches;
+  R.TheoryChecks = V.TheoryChecks;
+  R.MaxBranches = MaxBranches;
+  R.Fp = Fp;
+  R.Fp2 = Fp2;
+  appendRecord(std::move(R), Sample.Obligation, Work);
 }
 
 void flight::noteCachedObligation(const std::string &Name, char Side,

@@ -2,24 +2,25 @@
 ///
 /// \file
 /// The proof flight recorder: per-query timing and a replayable query
-/// journal, implemented as decorator layers of the solver chain
-/// (SolverChain.h). Both are off by default and cost one relaxed atomic
-/// load per query when disabled.
+/// journal. \c Solver::checkSat calls \c beginQuery before its memo lookup
+/// and \c endQuery after the search, so cache-served and searched queries
+/// are observed alike. Both halves are off by default and cost one relaxed
+/// atomic load per query when disabled.
 ///
-/// \b TimingSolver wraps the memo layer, clocks every query (cache-served
-/// or searched), and feeds the process-wide \c SolverQueriesReport in the
-/// metrics registry: totals, a log2 latency histogram and the slowest-N
-/// queries with provenance.
+/// \b Timing clocks every query and feeds the process-wide
+/// \c SolverQueriesReport in the metrics registry: totals, a log2 latency
+/// histogram and the slowest-N queries with provenance.
 ///
-/// \b QueryJournalSolver additionally records every query — assertion set,
+/// \b Journaling additionally records every query — assertion set,
 /// provenance, verdict, work counters, duration, cache marker — into an
 /// in-memory buffer, rendered as a \c GILRJRN2 journal (solver/Journal.h)
-/// only when the journal is read or written at exit. Obligations whose verdicts the incremental proof
-/// store replays without solving are marked with \c cached records via
-/// \c noteCachedObligation, so the journal accounts for every obligation of
-/// a warm run. The rendered journal is deterministically ordered by
-/// (obligation, side, query index) — a 4-worker run and a serial run of the
-/// same input produce the same record sequence (only timings differ).
+/// only when the journal is read or written at exit. Obligations whose
+/// verdicts the incremental proof store replays without solving are marked
+/// with \c cached records via \c noteCachedObligation, so the journal
+/// accounts for every obligation of a warm run. The rendered journal is
+/// deterministically ordered by (obligation, side, query index) — a
+/// 4-worker run and a serial run of the same input produce the same record
+/// sequence (only timings differ).
 ///
 /// Provenance comes from \c ObligationScope, an RAII marker the verifiers
 /// (engine/, creusot/, analysis/) open around each obligation; queries
@@ -29,20 +30,22 @@
 /// on the first enabled-check (any binary, including the test runners,
 /// honours these without code changes):
 ///
-///   GILR_TIMING=1         enable the timing layer only.
-///   GILR_JOURNAL=<path>   enable timing + journal; the journal is written
-///                         to <path> at exit ("%p" expands to the pid).
+///   GILR_TRACE=text|json  tracing in any mode (support/Trace.h) also
+///                         times solver queries.
+///   GILR_JOURNAL=<path>   timing + journal; the journal is written to
+///                         <path> at exit ("%p" expands to the pid).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GILR_SOLVER_FLIGHT_H
 #define GILR_SOLVER_FLIGHT_H
 
-#include "solver/SolverChain.h"
+#include "solver/Solver.h"
 
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace gilr {
 namespace flight {
@@ -71,25 +74,26 @@ inline uint8_t flags() {
 }
 } // namespace detail
 
-/// True iff the timing layer is active (and this thread is not paused).
+/// True iff queries are timed (and this thread is not paused).
 inline bool timingEnabled() { return detail::flags() & 1; }
 
-/// True iff the journal layer is active (and this thread is not paused).
+/// True iff queries are journaled (and this thread is not paused).
 inline bool journalEnabled() { return detail::flags() & 2; }
 
-/// True iff any recorder layer is active.
+/// True iff any part of the recorder is on.
 inline bool enabled() { return detail::flags() != 0; }
 
 /// (Re)configures the recorder explicitly, overriding the environment, and
 /// clears the journal buffer (a fresh recording session).
 void configure(const Options &O);
 
-/// Reads GILR_TIMING / GILR_JOURNAL and configures accordingly. Called
+/// Reads GILR_TRACE / GILR_JOURNAL and configures accordingly. Called
 /// implicitly on the first enabled-check; explicit calls re-read the
 /// environment.
 void configureFromEnv();
 
-/// Disables both layers and clears the journal buffer (for tests).
+/// Turns timing and the journal off and clears the journal buffer (for
+/// tests).
 void reset();
 
 /// RAII provenance marker: queries issued on this thread while the scope is
@@ -126,27 +130,26 @@ public:
 /// solver queries ran. No-op when journaling is off.
 void noteCachedObligation(const std::string &Name, char Side, bool Ok);
 
-/// The timing decorator. Records duration, provenance and outcome of every
-/// query into the metrics registry's SolverQueriesReport.
-class TimingSolver final : public SolverLayer {
-public:
-  explicit TimingSolver(SolverLayer &Next) : Next(Next) {}
-  ChainOutcome solve(const ChainQuery &Q) override;
-
-private:
-  SolverLayer &Next;
+/// A timed query's provenance and start time, as \c beginQuery stamped it.
+struct QueryStamp {
+  std::string Obligation;
+  char Side = '?';
+  uint32_t QueryIdx = 0;
+  uint64_t StartNs = 0;
 };
 
-/// The journal decorator. Must sit directly above a TimingSolver (it reads
-/// the provenance and duration that layer recorded for the same query).
-class QueryJournalSolver final : public SolverLayer {
-public:
-  explicit QueryJournalSolver(SolverLayer &Next) : Next(Next) {}
-  ChainOutcome solve(const ChainQuery &Q) override;
+/// Starts timing a query: stamps it with the open ObligationScope's name,
+/// side and next query index, and reads the clock. Call only when
+/// \c timingEnabled().
+QueryStamp beginQuery();
 
-private:
-  SolverLayer &Next;
-};
+/// Ends the query \p S started: stops the clock, records the timing sample
+/// into the metrics registry's SolverQueriesReport and, when journaling is
+/// on, the journal record. \p Work is the simplified assertion set; \p V
+/// the verdict with the work of the search that computed it (on a cache
+/// hit, the original search's).
+void endQuery(QueryStamp S, const std::vector<Expr> &Work,
+              unsigned MaxBranches, const QueryVerdict &V, bool CacheHit);
 
 /// Renders the buffered journal (header + deterministically ordered
 /// records).

@@ -48,7 +48,7 @@ inline const char *journalMagic() { return "GILRJRN2"; }
 /// One journal record. \c Kind selects which fields are meaningful.
 struct Record {
   enum class Kind : uint8_t {
-    Query,  ///< A checkSat query that travelled the solver chain.
+    Query,  ///< A checkSat query, memo-served or searched.
     Cached, ///< An obligation replayed wholesale by the incremental store.
   };
 

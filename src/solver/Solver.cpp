@@ -94,90 +94,6 @@ void gilr::stableQueryFingerprint(const std::vector<Expr> &Work,
   satFingerprintFromIds(Ids, MaxBranches, Fp, Fp2);
 }
 
-void ChainQuery::stableFingerprint(uint64_t &Fp, uint64_t &Fp2) const {
-  if (!StableFpReady) {
-    stableQueryFingerprint(Work, MaxBranches, StableFp, StableFp2);
-    StableFpReady = true;
-  }
-  Fp = StableFp;
-  Fp2 = StableFp2;
-}
-
-namespace gilr {
-
-/// The innermost chain layer: the DPLL(T) search itself.
-class CoreSolverLayer final : public SolverLayer {
-public:
-  explicit CoreSolverLayer(Solver &S) : S(S) {}
-
-  ChainOutcome solve(const ChainQuery &Q) override {
-    SolverStats TBefore = metrics::threadSolverStats();
-    unsigned Budget = Q.MaxBranches;
-    std::vector<Expr> Work = Q.Work;
-    ChainOutcome O;
-    O.R = S.solveRec(std::move(Work), {}, 0, Budget);
-    if (O.R == SatResult::Unknown) {
-      bump(&SolverStats::UnknownResults);
-      trace::instant("solver", "unknown");
-    }
-    SolverStats Delta = metrics::threadSolverStats() - TBefore;
-    O.Branches = Delta.Branches;
-    O.TheoryChecks = Delta.TheoryChecks;
-    return O;
-  }
-
-private:
-  Solver &S;
-};
-
-} // namespace gilr
-
-namespace {
-
-/// The memo layer: consults the solver's QueryMemo (the scheduler's
-/// QueryCache) before delegating to the core search. Only Sat/Unsat are
-/// ever stored, so a hit returns exactly what the search would compute; the
-/// memoised work delta is replayed into the thread-local job stats to keep
-/// per-job reports independent of cache state.
-class MemoSolverLayer final : public SolverLayer {
-public:
-  MemoSolverLayer(QueryMemo *Memo, SolverLayer &Next)
-      : Memo(Memo), Next(Next) {}
-
-  ChainOutcome solve(const ChainQuery &Q) override {
-    if (!Memo)
-      return Next.solve(Q);
-    uint64_t Fp = 0, Fp2 = 0;
-    if (Memo->wantsStableKeys())
-      Q.stableFingerprint(Fp, Fp2);
-    else
-      satQueryFingerprint(Q.Work, Q.MaxBranches, Fp, Fp2);
-    QueryVerdict V;
-    if (Memo->lookup(Fp, Fp2, V)) {
-      SolverStats &TS = metrics::threadSolverStats();
-      TS.Branches += V.Branches;
-      TS.TheoryChecks += V.TheoryChecks;
-      trace::instant("solver", "cache-hit");
-      ChainOutcome O;
-      O.R = V.R;
-      O.CacheHit = true;
-      O.Branches = V.Branches;
-      O.TheoryChecks = V.TheoryChecks;
-      return O;
-    }
-    ChainOutcome O = Next.solve(Q);
-    if (O.R != SatResult::Unknown)
-      Memo->insert(Fp, Fp2, QueryVerdict{O.R, O.Branches, O.TheoryChecks});
-    return O;
-  }
-
-private:
-  QueryMemo *Memo;
-  SolverLayer &Next;
-};
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Query entry points
 //===----------------------------------------------------------------------===//
@@ -190,19 +106,53 @@ SatResult Solver::checkSat(const std::vector<Expr> &Assertions) {
   for (const Expr &A : Assertions)
     Work.push_back(simplify(A));
 
-  ChainQuery Q{Work, MaxBranches};
-  CoreSolverLayer Core(*this);
-  MemoSolverLayer Memoised(Memo, Core);
-  // The flight recorder stacks its timing/journal decorators above the memo
-  // when enabled; otherwise Top is the memo layer and the only extra cost
-  // of the chain is one virtual dispatch.
-  flight::TimingSolver Timing(Memoised);
-  flight::QueryJournalSolver Journal(Timing);
-  SolverLayer *Top = &Memoised;
-  if (flight::timingEnabled())
-    Top = flight::journalEnabled() ? static_cast<SolverLayer *>(&Journal)
-                                   : &Timing;
-  return Top->solve(Q).R;
+  // The flight recorder's clock covers the memo lookup and the search.
+  bool Timing = flight::timingEnabled();
+  flight::QueryStamp Stamp;
+  if (Timing)
+    Stamp = flight::beginQuery();
+
+  uint64_t Fp = 0, Fp2 = 0;
+  QueryVerdict V;
+  bool CacheHit = false;
+  if (Memo) {
+    if (Memo->wantsStableKeys())
+      stableQueryFingerprint(Work, MaxBranches, Fp, Fp2);
+    else
+      satQueryFingerprint(Work, MaxBranches, Fp, Fp2);
+    CacheHit = Memo->lookup(Fp, Fp2, V);
+  }
+  if (CacheHit) {
+    // Only Sat/Unsat are stored, so a hit is what the search would answer;
+    // replaying its work keeps per-job reports independent of the cache.
+    SolverStats &TS = metrics::threadSolverStats();
+    TS.Branches += V.Branches;
+    TS.TheoryChecks += V.TheoryChecks;
+    trace::instant("solver", "cache-hit");
+  } else {
+    V = search(Work);
+    if (Memo && V.R != SatResult::Unknown)
+      Memo->insert(Fp, Fp2, V);
+  }
+
+  if (Timing)
+    flight::endQuery(std::move(Stamp), Work, MaxBranches, V, CacheHit);
+  return V.R;
+}
+
+QueryVerdict Solver::search(const std::vector<Expr> &Work) {
+  SolverStats TBefore = metrics::threadSolverStats();
+  unsigned Budget = MaxBranches;
+  QueryVerdict V;
+  V.R = solveRec(Work, {}, 0, Budget);
+  if (V.R == SatResult::Unknown) {
+    bump(&SolverStats::UnknownResults);
+    trace::instant("solver", "unknown");
+  }
+  SolverStats Delta = metrics::threadSolverStats() - TBefore;
+  V.Branches = Delta.Branches;
+  V.TheoryChecks = Delta.TheoryChecks;
+  return V;
 }
 
 bool Solver::entails(const std::vector<Expr> &Ctx, const Expr &Goal) {

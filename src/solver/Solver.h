@@ -13,20 +13,23 @@
 /// verification — an entailment that cannot be proved fails the proof rather
 /// than admitting it.
 ///
-/// Memoisation: before the DPLL search, \c checkSat (and therefore
-/// \c entails, which delegates to it) consults the solver's \c QueryMemo
-/// if it has one (\c Solver::Memo; the scheduler points it at its sharded
-/// QueryCache, src/sched/, for the duration of a run).
+/// One query, in order (\c checkSat; \c entails delegates to it):
+///   1. simplify the assertions;
+///   2. when the proof flight recorder (solver/Flight.h) times queries,
+///      \c flight::beginQuery stamps the query's provenance and starts the
+///      clock;
+///   3. look the query up in the solver's \c QueryMemo, if it has one
+///      (\c Solver::Memo; the scheduler points it at its sharded
+///      QueryCache, src/sched/, for the duration of a run), replaying the
+///      stored work on a hit; on a miss, run the DPLL(T) search and memoise
+///      its verdict;
+///   4. when timing, \c flight::endQuery records the timing sample and,
+///      when journaling, a replayable journal record.
+/// Cache-served and searched queries are thus timed and journaled alike.
 /// Only definite \c Sat / \c Unsat verdicts are ever memoised — \c Unknown
 /// results (budget or depth exhaustion) are recomputed every time — so a
-/// cached answer is always the answer the full search would produce.
-///
-/// Observability: every query runs through the decorator chain of
-/// SolverChain.h — when the proof flight recorder (solver/Flight.h) is
-/// enabled, a TimingSolver and a QueryJournalSolver layer stack above the
-/// memo, so per-query wall time, provenance and a replayable journal record
-/// are captured for cache-served and searched queries alike. Both layers
-/// are absent (a relaxed flag load) in the default configuration.
+/// cached answer is always the answer the full search would produce. With
+/// the recorder off (the default) steps 2 and 4 cost a relaxed flag load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +37,6 @@
 #define GILR_SOLVER_SOLVER_H
 
 #include "solver/SeqTheory.h"
-#include "solver/SolverChain.h"
 #include "support/Metrics.h"
 #include "sym/Expr.h"
 
@@ -42,6 +44,8 @@
 #include <vector>
 
 namespace gilr {
+
+enum class SatResult { Sat, Unsat, Unknown };
 
 /// A memoised query verdict plus the DPLL work the original computation
 /// performed. On a hit the work counts are replayed into the thread-local
@@ -149,8 +153,9 @@ public:
   QueryMemo *Memo = nullptr;
 
 private:
-  /// The innermost chain layer (Solver.cpp) runs the private DPLL search.
-  friend class CoreSolverLayer;
+  /// The DPLL(T) search over the simplified assertions \p Work: its verdict
+  /// and the branches and theory checks it took.
+  QueryVerdict search(const std::vector<Expr> &Work);
 
   SatResult solveRec(std::vector<Expr> Work, std::vector<Literal> Lits,
                      unsigned Depth, unsigned &Budget);

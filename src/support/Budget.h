@@ -5,7 +5,7 @@
 /// on DPLL branches. The scheduler (src/sched/) arms the budget before
 /// running a job on a worker thread; the solver and the symbolic executor
 /// poll \c exceeded() at their natural re-entry points and degrade to an
-/// Unknown/aborted result instead of stalling the worker pool on a
+/// Unknown/aborted result instead of stalling the run's threads on a
 /// pathological obligation.
 ///
 /// Cost model: \c exceeded() is a thread-local flag check plus a branch

@@ -132,9 +132,9 @@ struct QueryCacheReport {
   std::vector<QueryCacheShardStat> Shards;
 };
 
-/// One solver query as observed by the flight recorder's TimingSolver
-/// decorator (solver/Flight.h): where it came from, what it cost, and what
-/// it answered. \c Side is 'U' (unsafe/Gillian side), 'S' (safe/Creusot
+/// One solver query as the flight recorder timed it (flight::endQuery,
+/// solver/Flight.h): where it came from, what it cost, and what it
+/// answered. \c Side is 'U' (unsafe/Gillian side), 'S' (safe/Creusot
 /// side), 'L' (pre-verification lint) or '?' (no obligation scope open).
 /// \c Verdict encodes SatResult: 0 Sat, 1 Unsat, 2 Unknown.
 struct SolverQuerySample {
@@ -151,8 +151,8 @@ struct SolverQuerySample {
 /// Aggregate view of all flight-recorded solver queries of the process,
 /// surfaced as the \c solver_queries section of the telemetry JSON and the
 /// "slowest queries" block of HybridReport::summaryText(). Populated only
-/// while the flight recorder's timing decorator is enabled
-/// (solver/Flight.h); Valid stays false otherwise.
+/// while the flight recorder times queries (solver/Flight.h); Valid stays
+/// false otherwise.
 struct SolverQueriesReport {
   bool Valid = false;
   uint64_t Queries = 0;
@@ -167,7 +167,7 @@ struct SolverQueriesReport {
   std::array<uint64_t, 32> Histogram = {};
   /// The slowest queries seen, sorted by descending duration.
   std::vector<SolverQuerySample> Slowest;
-  /// Journal activity (recorded by the QueryJournalSolver decorator).
+  /// Journal activity (recorded by flight::endQuery when journaling).
   uint64_t JournalRecords = 0;
   uint64_t JournalDropped = 0;
 };
@@ -261,9 +261,9 @@ public:
   QueryCacheReport queryCacheReport() const;
 
   /// Records one flight-recorded solver query into the solver_queries
-  /// aggregates (totals, latency histogram, slowest-N). Called by the
-  /// TimingSolver decorator only while the flight recorder is enabled, so
-  /// the per-query lock is never taken in the default configuration.
+  /// aggregates (totals, latency histogram, slowest-N). Called by
+  /// flight::endQuery only while the flight recorder times queries, so the
+  /// per-query lock is never taken in the default configuration.
   void recordSolverQuery(const SolverQuerySample &Q);
 
   /// Adds to the journal activity counters of the solver_queries report.

@@ -153,16 +153,19 @@ void gilr::trace::configure(const Options &O) {
   detail::EnabledFlag.store(O.M != Mode::Off, std::memory_order_relaxed);
 }
 
-void gilr::trace::configureFromEnv() {
+Mode gilr::trace::modeFromEnv() {
   const char *Env = std::getenv("GILR_TRACE");
+  std::string V = Env ? Env : "";
+  if (V == "text" || V == "on" || V == "1")
+    return Mode::Text;
+  if (V == "json" || V == "chrome")
+    return Mode::Json;
+  return Mode::Off;
+}
+
+void gilr::trace::configureFromEnv() {
   Options O;
-  if (Env) {
-    std::string V = Env;
-    if (V == "text" || V == "on" || V == "1")
-      O.M = Mode::Text;
-    else if (V == "json" || V == "chrome")
-      O.M = Mode::Json;
-  }
+  O.M = modeFromEnv();
   if (const char *F = std::getenv("GILR_TRACE_FILE"))
     O.TraceFile = F;
   if (const char *F = std::getenv("GILR_STATS_FILE"))
@@ -440,7 +443,7 @@ gilr::trace::renderStatsJson(const std::vector<std::string> &CaseStudies) {
   }
 
   // Flight-recorded per-query aggregates (solver/Flight.h); omitted unless
-  // the timing decorator ran (GILR_TIMING / GILR_JOURNAL).
+  // queries were timed (GILR_TRACE / GILR_JOURNAL).
   metrics::SolverQueriesReport FQ = R.solverQueriesReport();
   if (FQ.Valid) {
     Out += "  \"solver_queries\": {";

@@ -16,9 +16,14 @@
 /// via \c configureFromEnv() (honoured by the examples and bench binaries):
 ///
 ///   GILR_TRACE=off|text|json   off (default): disabled.
-///                              text: aggregate per-phase stats only.
-///                              json: also buffer Chrome trace events and
-///                                    write trace + stats files at exit.
+///                              text (or on, 1): aggregate per-phase
+///                                    stats only.
+///                              json (or chrome): also buffer Chrome trace
+///                                    events and write trace + stats files
+///                                    at exit.
+///                              Any mode but off also has the proof flight
+///                              recorder time solver queries
+///                              (solver/Flight.h).
 ///   GILR_TRACE_FILE=<path>     Chrome trace-event output (default
 ///                              gilr_trace.json).
 ///   GILR_STATS_FILE=<path>     Stats JSON output (default gilr_stats.json).
@@ -64,6 +69,9 @@ Mode mode();
 /// (Re)configures the sink. Does not clear already-recorded data; call
 /// \c reset() for that.
 void configure(const Options &O);
+
+/// The mode GILR_TRACE selects; unset or unrecognised values are Off.
+Mode modeFromEnv();
 
 /// Reads GILR_TRACE / GILR_TRACE_FILE / GILR_STATS_FILE and configures the
 /// sink accordingly. When tracing is enabled this registers an atexit hook

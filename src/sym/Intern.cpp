@@ -20,7 +20,7 @@ std::size_t shardOf(std::size_t H) { return (H >> 4) & (NumShards - 1); }
 /// Exact structural identity, *including* variable sorts (unlike
 /// exprEquals): interning must not collapse sort-annotated variants of a
 /// variable, because NodeSort feeds solver decisions and first-wins
-/// canonicalisation would be racy under the worker pool. Kids are compared
+/// canonicalisation would be racy under parallel runs. Kids are compared
 /// by pointer: candidates always carry canonical (interned) kids.
 bool exprIdentical(const ExprNode &A, const ExprNode &B) {
   if (A.Kind != B.Kind || A.NodeSort != B.NodeSort ||

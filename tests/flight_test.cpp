@@ -1,13 +1,14 @@
 //===- tests/flight_test.cpp - Proof flight recorder ------------------------===//
 //
 // The flight recorder end to end: the journal expression grammar
-// round-trips, each distinct assertion is written once and referenced, the
-// timing decorator attributes queries to their obligation,
-// the journal captures cache-served and searched queries alike, a 4-worker
-// hybrid run's journal replays serially with byte-identical verdicts, warm
-// incremental runs journal `cached` markers, env-derived output paths
-// create parent directories (with diagnostics on failure), and everything
-// is off — zero records, zero report — by default.
+// round-trips, each distinct assertion is written once and referenced,
+// query timing attributes queries to their obligation and is switched on
+// by GILR_TRACE, the journal captures cache-served and searched queries
+// alike, a 4-worker hybrid run's journal replays serially with
+// byte-identical verdicts, warm incremental runs journal `cached` markers,
+// env-derived output paths create parent directories (with diagnostics on
+// failure), and everything is off — zero records, zero report — by
+// default.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +27,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <unistd.h>
 
 using namespace gilr;
@@ -38,6 +41,28 @@ namespace {
 /// Restores a recorder-off state however a test exits.
 struct FlightOff {
   ~FlightOff() { flight::reset(); }
+};
+
+/// Sets (or, with nullopt, unsets) an environment variable for the scope's
+/// lifetime and restores the previous value afterwards.
+class ScopedEnv {
+public:
+  ScopedEnv(const char *Name, std::optional<std::string> Value) : Name(Name) {
+    if (const char *Old = std::getenv(Name))
+      Saved = Old;
+    set(Value);
+  }
+  ~ScopedEnv() { set(Saved); }
+
+private:
+  void set(const std::optional<std::string> &V) {
+    if (V)
+      ::setenv(Name, V->c_str(), 1);
+    else
+      ::unsetenv(Name);
+  }
+  const char *Name;
+  std::optional<std::string> Saved;
 };
 
 std::string tempPath(const std::string &Name) {
@@ -261,7 +286,7 @@ TEST(JournalGrammar, BadHeaderIsReported) {
 }
 
 //===----------------------------------------------------------------------===//
-// Recorder layers
+// Query timing and journaling
 //===----------------------------------------------------------------------===//
 
 TEST(FlightRecorder, DisabledByDefaultRecordsNothing) {
@@ -279,6 +304,27 @@ TEST(FlightRecorder, DisabledByDefaultRecordsNothing) {
       metrics::Registry::get().solverQueriesReport();
   EXPECT_EQ(After.Queries, Before.Queries);
   EXPECT_EQ(flight::journalRecordCount(), 0u);
+}
+
+TEST(FlightRecorder, TraceSwitchTurnsTimingOn) {
+  FlightOff Off;
+  {
+    ScopedEnv Trace("GILR_TRACE", "text");
+    ScopedEnv Timing("GILR_TIMING", std::nullopt);
+    ScopedEnv Journal("GILR_JOURNAL", std::nullopt);
+    flight::configureFromEnv();
+    EXPECT_TRUE(flight::timingEnabled());
+    EXPECT_FALSE(flight::journalEnabled());
+  }
+  {
+    // GILR_TIMING is no longer a switch.
+    ScopedEnv Trace("GILR_TRACE", std::nullopt);
+    ScopedEnv Timing("GILR_TIMING", "1");
+    ScopedEnv Journal("GILR_JOURNAL", std::nullopt);
+    flight::configureFromEnv();
+    EXPECT_FALSE(flight::timingEnabled());
+    EXPECT_FALSE(flight::journalEnabled());
+  }
 }
 
 TEST(FlightRecorder, TimingAttributesQueriesToObligations) {

@@ -8,7 +8,8 @@
 //  * verifying a parsed module yields verdicts identical to running the
 //    builder-API equivalent;
 //  * the gilr CLI honours the exit-code contract (0 verified, 1 proof
-//    failures, 2 lint errors, 3 parse/type errors);
+//    failures, 2 lint errors, 3 parse/type errors) and reads each module
+//    once;
 //  * diagnostics carry real source locations (file:line:col + caret), both
 //    for .gilr syntax errors and for position-tracked Gilsonite spec errors;
 //  * every expression a parsed module or a read-back journal holds is
@@ -317,6 +318,27 @@ TEST(FrontendCli, MissingFileIsThree) {
   std::string ErrText;
   EXPECT_EQ(3, cli({"check", "/nonexistent/nope.gilr"}, nullptr, &ErrText));
   EXPECT_NE(ErrText.find("GILR-E010"), std::string::npos);
+}
+
+TEST(FrontendCli, MissingFileIsReadOnce) {
+  // Each subcommand reads a module once, so the I/O diagnostic appears
+  // once; the E010 diagnostic and exit code 3 follow as usual.
+  const std::string Missing = "/nonexistent/nope.gilr";
+  const std::string ReadLine =
+      "gilr: cannot read .gilr module from " + Missing;
+  for (const char *Cmd : {"check", "lint", "verify", "fmt"}) {
+    std::string ErrText;
+    ::testing::internal::CaptureStderr();
+    int Code = cli({Cmd, Missing}, nullptr, &ErrText);
+    std::string Stderr = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(3, Code) << Cmd;
+    std::size_t Lines = 0;
+    for (std::size_t Pos = Stderr.find(ReadLine); Pos != std::string::npos;
+         Pos = Stderr.find(ReadLine, Pos + 1))
+      ++Lines;
+    EXPECT_EQ(1u, Lines) << Cmd << ":\n" << Stderr;
+    EXPECT_NE(ErrText.find("GILR-E010"), std::string::npos) << Cmd;
+  }
 }
 
 // --- Diagnostics: source locations and carets ---------------------------

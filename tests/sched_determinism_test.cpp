@@ -2,10 +2,11 @@
 //
 // The scheduler's determinism contract: the LinkedList hybrid proof run
 // through 4 workers produces a machine-readable report byte-identical
-// (timing aside) to the serial run, with and without the entailment memo;
-// the shared entailment cache observes real hits, and per-job budgets
-// degrade stuck obligations to a reported Unknown instead of a spurious
-// failure.
+// (timing aside) to the serial run, with and without the entailment memo,
+// and so does a run with more threads than jobs; a parallel run with no
+// jobs returns empty reports; the shared entailment cache observes real
+// hits, and per-job budgets degrade stuck obligations to a reported
+// Unknown instead of a spurious failure.
 //
 //===----------------------------------------------------------------------===//
 
@@ -86,6 +87,46 @@ TEST_F(SchedDeterminismTest, FourWorkersMatchSerialByteForByte) {
   // job's stats, so even the solver-work numbers agree everywhere.
   EXPECT_EQ(SerialJson, ParJson);
   EXPECT_EQ(NoMemoJson, SerialJson);
+}
+
+TEST_F(SchedDeterminismTest, MoreThreadsThanJobsMatchSerial) {
+  // Three jobs on eight threads: the loop starts one thread per job, and
+  // every job still lands in its own slot.
+  std::vector<std::string> Funcs = functionalFunctions();
+  ASSERT_GE(Funcs.size(), 2u);
+  Funcs.resize(2);
+  std::vector<creusot::SafeFn> Clients = makeClients();
+  ASSERT_GE(Clients.size(), 1u);
+  Clients.resize(1);
+
+  sched::SchedulerConfig Serial;
+  Serial.Threads = 1;
+  engine::VerifEnv SerialEnv = Lib->env();
+  hybrid::HybridDriver SerialDriver(SerialEnv, Lib->Contracts);
+  hybrid::HybridReport SerialR = SerialDriver.run(Funcs, Clients, Serial);
+  ASSERT_TRUE(SerialR.ok());
+
+  sched::SchedulerConfig Wide;
+  Wide.Threads = 8;
+  engine::VerifEnv WideEnv = Lib->env();
+  hybrid::HybridDriver WideDriver(WideEnv, Lib->Contracts);
+  hybrid::HybridReport WideR = WideDriver.run(Funcs, Clients, Wide);
+  ASSERT_EQ(WideR.UnsafeSide.size(), 2u);
+  ASSERT_EQ(WideR.SafeSide.size(), 1u);
+
+  EXPECT_EQ(stripTimings(SerialR.renderJson()),
+            stripTimings(WideR.renderJson()));
+}
+
+TEST_F(SchedDeterminismTest, ParallelRunWithNoJobsIsEmpty) {
+  sched::SchedulerConfig Par;
+  Par.Threads = 4;
+  engine::VerifEnv Env = Lib->env();
+  hybrid::HybridDriver Driver(Env, Lib->Contracts);
+  hybrid::HybridReport R = Driver.run({}, {}, Par);
+  EXPECT_TRUE(R.UnsafeSide.empty());
+  EXPECT_TRUE(R.SafeSide.empty());
+  EXPECT_TRUE(R.ok());
 }
 
 TEST_F(SchedDeterminismTest, ParallelRunIsRepeatable) {

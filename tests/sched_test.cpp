@@ -1,14 +1,13 @@
 //===- tests/sched_test.cpp - Scheduler subsystem unit tests ----------------===//
 //
 // Units of the parallel proof scheduler: the sharded LRU entailment cache
-// (hit/miss, eviction, cross-shard isolation, soundness of cached verdicts),
-// the work-stealing pool, per-job budgets, and the job graph.
+// (hit/miss, eviction, cross-shard isolation, soundness of cached verdicts)
+// and per-job budgets. That a scheduled run executes every job and keeps
+// input order at any thread count is sched_determinism_test's subject.
 //
 //===----------------------------------------------------------------------===//
 
-#include "sched/ProofJob.h"
 #include "sched/QueryCache.h"
-#include "sched/WorkerPool.h"
 #include "support/Budget.h"
 #include "sym/ExprBuilder.h"
 
@@ -194,67 +193,6 @@ TEST(QueryCacheTest, ConcurrentMixedUse) {
 }
 
 //===----------------------------------------------------------------------===//
-// WorkerPool
-//===----------------------------------------------------------------------===//
-
-TEST(WorkerPoolTest, RunsEveryTask) {
-  WorkerPool Pool(4);
-  EXPECT_EQ(Pool.threads(), 4u);
-  std::atomic<int> Count{0};
-  for (int I = 0; I != 500; ++I)
-    Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 500);
-}
-
-TEST(WorkerPoolTest, WaitIsABarrier) {
-  WorkerPool Pool(3);
-  std::atomic<int> Count{0};
-  for (int Round = 0; Round != 5; ++Round) {
-    for (int I = 0; I != 40; ++I)
-      Pool.submit([&Count] { ++Count; });
-    Pool.wait();
-    EXPECT_EQ(Count.load(), (Round + 1) * 40);
-  }
-}
-
-TEST(WorkerPoolTest, WorkersMaySubmit) {
-  // A task that fans out subtasks from a worker thread; wait() covers the
-  // transitively submitted work too (Pending counts submissions, not
-  // batches).
-  WorkerPool Pool(4);
-  std::atomic<int> Count{0};
-  for (int I = 0; I != 8; ++I)
-    Pool.submit([&Pool, &Count] {
-      ++Count;
-      for (int J = 0; J != 8; ++J)
-        Pool.submit([&Count] { ++Count; });
-    });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 8 + 8 * 8);
-}
-
-TEST(WorkerPoolTest, DestructorDrains) {
-  std::atomic<int> Count{0};
-  {
-    WorkerPool Pool(2);
-    for (int I = 0; I != 100; ++I)
-      Pool.submit([&Count] { ++Count; });
-  } // ~WorkerPool waits, then joins.
-  EXPECT_EQ(Count.load(), 100);
-}
-
-TEST(WorkerPoolTest, SingleThreadPoolStillWorks) {
-  WorkerPool Pool(1);
-  std::atomic<int> Count{0};
-  for (int I = 0; I != 50; ++I)
-    Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 50);
-  EXPECT_EQ(Pool.steals(), 0u); // Nobody to steal from.
-}
-
-//===----------------------------------------------------------------------===//
 // Budgets
 //===----------------------------------------------------------------------===//
 
@@ -318,33 +256,6 @@ TEST(BudgetTest, FreshBeginResetsWasExceeded) {
   budget::begin(0, 0); // No limits: also clears the sticky flag.
   EXPECT_FALSE(budget::wasExceeded());
   budget::clear();
-}
-
-//===----------------------------------------------------------------------===//
-// JobGraph
-//===----------------------------------------------------------------------===//
-
-TEST(JobGraphTest, InputOrderAndSlots) {
-  std::vector<creusot::SafeFn> Clients(2);
-  Clients[0].Name = "client_a";
-  Clients[1].Name = "client_b";
-  JobGraph G = JobGraph::build({"push", "pop"}, Clients);
-
-  ASSERT_EQ(G.Jobs.size(), 4u);
-  EXPECT_EQ(G.UnsafeCount, 2u);
-  EXPECT_EQ(G.SafeCount, 2u);
-
-  EXPECT_EQ(G.Jobs[0].K, ProofJob::UnsafeFn);
-  EXPECT_EQ(G.Jobs[0].Name, "push");
-  EXPECT_EQ(G.Jobs[0].Slot, 0u);
-  EXPECT_EQ(G.Jobs[1].Name, "pop");
-  EXPECT_EQ(G.Jobs[1].Slot, 1u);
-
-  EXPECT_EQ(G.Jobs[2].K, ProofJob::SafeClient);
-  EXPECT_EQ(G.Jobs[2].Name, "client_a");
-  EXPECT_EQ(G.Jobs[2].Slot, 0u); // Slot indexes the job's own side.
-  EXPECT_EQ(G.Jobs[2].Client, &Clients[0]);
-  EXPECT_EQ(G.Jobs[3].Client, &Clients[1]);
 }
 
 } // namespace

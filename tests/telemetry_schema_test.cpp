@@ -35,7 +35,7 @@ TEST(TelemetrySchema, TopLevelKeysAreExactlyTheDocumentedSet) {
   // A full run with every telemetry source active: a scheduled hybrid run
   // (validates the query-cache snapshot and, via the default-enabled lint
   // pre-pass, the analysis summary) with an incremental store (validates
-  // the incremental summary) under the flight recorder's timing decorator
+  // the incremental summary) with the flight recorder timing queries
   // (validates solver_queries).
   metrics::Registry::get().reset();
   flight::Options FO;
